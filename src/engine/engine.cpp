@@ -165,6 +165,17 @@ inline std::uint32_t entry_chan(std::uint64_t e) {
   return static_cast<std::uint32_t>(e);
 }
 
+/// Prefetch hint for the wide-path stage sweep; a no-op where the
+/// compiler has no builtin. Forced inline: GCC's IPA pass otherwise finds
+/// an out-of-line copy free of side effects and deletes every call.
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((always_inline)) inline void prefetch(const void* p) {
+  __builtin_prefetch(p);
+}
+#else
+inline void prefetch(const void*) {}
+#endif
+
 /// Phase timing (EngineOptions::time_phases) clock. Timing reads happen
 /// on the coordination path only, so they never perturb arbitration or
 /// any other simulated outcome.
@@ -496,7 +507,7 @@ void CycleEngine::arbitrate_bucket(const ChanT* chan, std::uint32_t cycle,
 
 template <typename ChanT>
 #if defined(__GNUC__) && !defined(__clang__)
-// Same unit-growth inlining rationale as run_stage_serial below: the
+// Same unit-growth inlining rationale as run_stage_serial: the
 // forward pass pushes one worklist entry per surviving hop.
 __attribute__((flatten))
 #endif
@@ -558,7 +569,7 @@ void CycleEngine::run_stage_parallel(const ChanT* chan, std::uint32_t cycle,
   // stages along every path guarantee the target worklist has not been
   // processed yet, so each message is bucketed exactly once per cycle
   // per hop it wins. Members are hoisted into locals for the same
-  // reason as in run_stage_serial.
+  // reason as in fused_stage.
   std::uint32_t* const bp = bucket_pos_.data();
   const auto* const stg = stage_table<ChanT>();
   auto* const lst = stage_list_.data();
@@ -598,18 +609,25 @@ void CycleEngine::run_stage_parallel(const ChanT* chan, std::uint32_t cycle,
   stage_list_[stage].clear();
 }
 
-/// The per-shard stage sweep: bucket building, arbitration, accounting
-/// and survivor forwarding fused into two sweeps of one worklist, over
-/// caller-owned scratch (a shard's arena/over/sort bits). Only over-limit
-/// (contended) buckets are materialized in the arena; everyone else
-/// advances and forwards in place during the fill sweep, because an
-/// uncontended channel admits its whole bucket no matter the order. The
-/// outcome is bit-identical to run_stage_serial — which is the same
-/// algorithm with the global-worklist forward rule written inline (see
-/// the aliasing note above it for why the serial hot path does not route
-/// through this function) — because contended buckets still sort to
-/// pending order before the pinned lottery, and worklist order is
-/// unobservable (see the stage_list_ comment).
+/// The lossy stage sweep of every executor: bucket building,
+/// arbitration, accounting and survivor forwarding fused into two sweeps
+/// of one worklist, over caller-owned scratch (the global arena/over/sort
+/// bits, or a shard's). Only over-limit (contended) buckets are
+/// materialized in the arena; everyone else advances and forwards in
+/// place during the fill sweep, because an uncontended channel admits its
+/// whole bucket no matter the order. Serial and sharded sweeps agree bit
+/// for bit because contended buckets still sort to pending order before
+/// the pinned lottery, and worklist order is unobservable (see the
+/// stage_list_ comment).
+///
+/// On the wide (u32) path the sweep is software-pipelined. There the CSR
+/// hop buffer and the packed message words outgrow the caches, and each
+/// survivor's next-hop read is a dependent miss (ce_ word, then hop
+/// buffer). The loops prefetch both a fixed distance ahead. A prefetch is
+/// a hint that reads only words of messages in this worklist (or this
+/// bucket) and addresses at most one past the end of the hop buffer
+/// (cursor + 1 <= end), so results are unchanged. The narrow path stays
+/// L2-resident and measured no gain, so it compiles the hints out.
 template <typename ChanT, typename Forward>
 void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
                               std::vector<std::uint64_t>& list,
@@ -622,12 +640,13 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
   // bucket_pos_ sentinel for channels that stay under their limit; arena
   // fill cursors never reach it (PathSet caps hop offsets below 2^32 - 1).
   constexpr std::uint32_t kUncontended = 0xffffffffu;
+  constexpr bool kPipelined = sizeof(ChanT) == 4;
   // The sweeps below hoist every member array into a local: the worklist
   // push_backs can allocate, and past any opaque call the compiler must
   // reload member-reachable pointers — locals stay in registers. None of
   // the hoisted buffers reallocates during the stage (the arena is sized
   // before the sweep; a forward to stage s' != stage moves only that
-  // inner vector's storage, not the outer arrays).
+  // inner vector's storage, not the outer arrays or this worklist).
   std::uint32_t* const bp = bucket_pos_.data();
   const std::uint32_t* const lim = active_limit_;
   over.clear();
@@ -647,7 +666,17 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
   arena.resize(total);
   std::uint64_t* const ce = ce_.data();
   std::uint32_t* const ar = arena.data();
-  for (const std::uint64_t e : list) {
+  const std::uint64_t* const le = list.data();
+  const std::size_t entries = list.size();
+  for (std::size_t k = 0; k < entries; ++k) {
+    if constexpr (kPipelined) {
+      if (k + 16 < entries) prefetch(ce + entry_msg(le[k + 16]));
+      if (k + 8 < entries) {
+        prefetch(chan + static_cast<std::uint32_t>(ce[entry_msg(le[k + 8])]) +
+                 1);
+      }
+    }
+    const std::uint64_t e = le[k];
     const std::uint32_t c = entry_chan(e);
     const std::uint32_t i = entry_msg(e);
     const std::uint32_t pos = bp[c];
@@ -696,6 +725,12 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
     // reads the delivered state straight off the packed word
     // (cursor == end).
     for (std::size_t k = 0; k < winners; ++k) {
+      if constexpr (kPipelined) {
+        if (k + 8 < winners) prefetch(ce + b[k + 8]);
+        if (k + 4 < winners) {
+          prefetch(chan + static_cast<std::uint32_t>(ce[b[k + 4]]) + 1);
+        }
+      }
       const std::uint64_t v = ++ce[b[k]];
       if (static_cast<std::uint32_t>(v) < (v >> 32)) {
         forward(b[k], static_cast<std::uint32_t>(
@@ -711,126 +746,35 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
   list.clear();
 }
 
-/// Deliberate twin of fused_stage with the global-worklist forward rule
-/// written inline. Routing the serial sweep through fused_stage plus a
-/// forward closure re-hoists the same pointers in two scopes, and the
-/// resulting aliasing ambiguity costs ~15% of serial lossy throughput
-/// even with everything force-inlined (measured on the bench_micro
-/// engine sweep). The two copies are kept equivalent by the sharded
-/// parity tests (test_scaleout), which compare this path against the
-/// fused_stage-based executor bit for bit.
+/// The serial executor's stage sweep (and the sharded executor's serial
+/// spine stages): fused_stage over the global worklists and scratch, with
+/// every survivor forwarded to its next stage's global worklist.
 template <typename ChanT>
 #if defined(__GNUC__) && !defined(__clang__)
 // The sharded-executor instantiations grew this translation unit past
 // GCC's unit-growth inlining budget, at which point the inliner started
-// leaving the push_back fast paths in the sweeps below as out-of-line
-// calls — one call per forwarded hop, ~20% of serial lossy throughput
-// (verified with gprof: tens of millions of vector::push_back
-// invocations that the smaller pre-sharding unit inlined). flatten
-// forces full inlining of this body regardless of the unit budget.
+// leaving the push_back fast paths in the sweeps as out-of-line calls —
+// one call per forwarded hop, ~20% of serial lossy throughput (verified
+// with gprof: tens of millions of vector::push_back invocations that the
+// smaller pre-sharding unit inlined). flatten forces full inlining of
+// fused_stage and its forward closure regardless of the unit budget.
 __attribute__((flatten))
 #endif
 void CycleEngine::run_stage_serial(const ChanT* chan, std::uint32_t cycle,
                                    std::uint32_t stage,
                                    std::uint64_t& cycle_losses,
                                    std::uint64_t& cycle_hops) {
-  // bucket_pos_ sentinel for channels that stay under their limit; arena
-  // fill cursors never reach it (PathSet caps hop offsets below 2^32 - 1).
-  constexpr std::uint32_t kUncontended = 0xffffffffu;
-  std::vector<std::uint64_t>& list = stage_list_[stage];
-  std::vector<std::uint32_t>& touched = stage_touched_[stage];
-  // The sweeps below hoist every member array into a local: the worklist
-  // push_backs can allocate, and past any opaque call the compiler must
-  // reload member-reachable pointers — locals stay in registers. None of
-  // the hoisted buffers reallocates during the stage (arena_ is sized
-  // before the sweep; a push to stage s' != stage moves only that inner
-  // vector's storage, not the outer arrays).
   std::uint32_t* const bp = bucket_pos_.data();
-  const std::uint32_t* const lim = active_limit_;
   const auto* const stg = stage_table<ChanT>();
   auto* const lst = stage_list_.data();
   auto* const touch = stage_touched_.data();
-  over_.clear();
-  std::uint32_t total = 0;
-  for (const std::uint32_t c : touched) {
-    const std::uint32_t count = bp[c];
-    if (count > lim[c]) {
-      over_.push_back({c, total, count});
-      bp[c] = total;  // fill cursor for the sweep below
-      total += count;
-    } else {
-      if (want_carried_) carried_[c] = count;
-      cycle_hops += count;
-      bp[c] = kUncontended;
-    }
-  }
-  arena_.resize(total);
-  std::uint64_t* const ce = ce_.data();
-  std::uint32_t* const ar = arena_.data();
-  for (const std::uint64_t e : list) {
-    const std::uint32_t c = entry_chan(e);
-    const std::uint32_t i = entry_msg(e);
-    const std::uint32_t pos = bp[c];
-    if (pos == kUncontended) {
-      const std::uint64_t v = ++ce[i];
-      if (static_cast<std::uint32_t>(v) < (v >> 32)) {
-        const std::uint32_t nc = chan[static_cast<std::uint32_t>(v)];
-        const std::uint32_t ns = stg[nc];
-        if (bp[nc]++ == 0) touch[ns].push_back(nc);
-        lst[ns].push_back(pack_entry(i, nc));
-      }
-    } else {
-      ar[pos] = i;
-      bp[c] = pos + 1;
-    }
-  }
-  std::uint64_t* const bits = sort_bits_.data();
-  const RoutingPolicy pol = opts_.policy;
-  const bool wire_sel = wire_selecting(pol);
-  const bool adaptive = pol == RoutingPolicy::AdaptiveOccupancy;
-  for (const OverBucket& ob : over_) {
-    std::uint32_t* b = ar + ob.off;
-    const std::uint64_t limit = lim[ob.chan];
-    // Restore ascending pending order for the pinned lottery, then the
-    // truncated Fisher–Yates finalizes the loser block (see
-    // arbitrate_bucket for the full argument).
-    if (ob.count > 64) {
-      sort_by_bitmap(bits, b, ob.count);
-    } else {
-      sort_small(b, ob.count);
-    }
-    std::uint64_t winners = limit;
-    if (wire_sel) {
-      winners = select_policy_winners(pol, b, ob.count, limit, opts_.seed,
-                                      cycle, ob.chan, ce, chan);
-    } else {
-      if (adaptive) over_pressure_[ob.chan] = 1;
-      Rng arb(arbitration_seed(opts_.seed, cycle, ob.chan));
-      for (std::size_t i = ob.count; i > limit; --i) {
-        const std::size_t j = arb.below(i);
-        std::swap(b[i - 1], b[j]);
-      }
-    }
-    // Losers need no write: their cursor stops here, short of end, and
-    // everything downstream (compaction, tracing, the parallel merge)
-    // reads the delivered state straight off the packed word
-    // (cursor == end).
-    for (std::size_t k = 0; k < winners; ++k) {
-      const std::uint64_t v = ++ce[b[k]];
-      if (static_cast<std::uint32_t>(v) < (v >> 32)) {
-        const std::uint32_t nc = chan[static_cast<std::uint32_t>(v)];
-        const std::uint32_t ns = stg[nc];
-        if (bp[nc]++ == 0) touch[ns].push_back(nc);
-        lst[ns].push_back(pack_entry(b[k], nc));
-      }
-    }
-    if (want_carried_) carried_[ob.chan] = static_cast<std::uint32_t>(winners);
-    cycle_hops += winners;
-    cycle_losses += ob.count - winners;
-  }
-  for (const std::uint32_t c : touched) bp[c] = 0;  // sticky zeros
-  touched.clear();
-  list.clear();
+  fused_stage(chan, cycle, lst[stage], touch[stage], arena_, over_,
+              sort_bits_, cycle_losses, cycle_hops,
+              [&](std::uint32_t i, std::uint32_t nc) {
+                const std::uint32_t ns = stg[nc];
+                if (bp[nc]++ == 0) touch[ns].push_back(nc);
+                lst[ns].push_back(pack_entry(i, nc));
+              });
 }
 
 /// One cycle's stage sweep, subtree-sharded. Shards run the fused serial

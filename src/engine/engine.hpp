@@ -203,18 +203,14 @@ class CycleEngine {
                                   EngineObserver* observer = nullptr);
 
  private:
-  /// One contended (over-limit) bucket in the serial fused stage: channel
-  /// plus its [off, off + count) slice of arena_.
+  /// One contended (over-limit) bucket in fused_stage: channel plus its
+  /// [off, off + count) slice of the sweep's arena.
   struct OverBucket {
     std::uint32_t chan;
     std::uint32_t off;
     std::uint32_t count;
   };
 
-  /// Base pointer of the stage lookup table for the given hop width
-  /// (stage16_ on the narrow path, the graph's table on the wide one).
-  /// Hot loops hoist it into a local so worklist reallocations never
-  /// force a reload.
   /// Per-shard execution state for the subtree-sharded parallel mode: a
   /// shard owns the worklists, arena and sort scratch of every channel the
   /// graph's shard table assigns to it, so the up- and down-phase sweeps
@@ -236,6 +232,10 @@ class CycleEngine {
     std::uint64_t hops = 0;
   };
 
+  /// Base pointer of the stage lookup table for the given hop width
+  /// (stage16_ on the narrow path, the graph's table on the wide one).
+  /// Hot loops hoist it into a local so worklist reallocations never
+  /// force a reload.
   template <typename ChanT>
   const auto* stage_table() const;
   void build_buckets(const std::vector<std::uint64_t>& list,
@@ -249,11 +249,11 @@ class CycleEngine {
                           std::uint64_t& cycle_hops);
   /// The fused stage algorithm (bucket counting, arbitration, accounting,
   /// survivor forwarding in two sweeps) over caller-owned scratch — the
-  /// sharded executor's per-shard stage sweep. run_stage_serial is the
-  /// same algorithm with the global forward rule written inline; see the
-  /// comment above it for why the serial hot path keeps its own copy.
-  /// `forward` is invoked as forward(msg, next_channel) for every
-  /// surviving message with hops left and routes it to its next worklist.
+  /// one lossy stage sweep: run_stage_serial runs it on the global
+  /// worklists, the sharded executor on each shard's. Software-pipelined
+  /// (prefetching) on the wide u32 path only. `forward` is invoked as
+  /// forward(msg, next_channel) for every surviving message with hops
+  /// left and routes it to its next worklist.
   /// Must inline into its caller: the forward closures capture
   /// caller-local hoisted pointers by reference, and an out-of-line
   /// instantiation reads them through the closure on every inner-loop
@@ -272,6 +272,8 @@ class CycleEngine {
                    std::vector<std::uint64_t>& sort_bits,
                    std::uint64_t& cycle_losses, std::uint64_t& cycle_hops,
                    Forward&& forward);
+  /// fused_stage on the global worklists and scratch (the serial executor
+  /// and the sharded executor's serial spine stages).
   template <typename ChanT>
   void run_stage_serial(const ChanT* chan, std::uint32_t cycle,
                         std::uint32_t stage, std::uint64_t& cycle_losses,
@@ -378,7 +380,7 @@ class CycleEngine {
   std::vector<std::uint32_t> bucket_off_;
   std::vector<std::uint32_t> bucket_pos_;
   std::vector<std::uint32_t> arena_;
-  std::vector<OverBucket> over_;           ///< serial: contended buckets only
+  std::vector<OverBucket> over_;           ///< run_stage_serial scratch
   std::vector<std::size_t> chunk_bounds_;  ///< parallel work partition
   /// Wire-selecting policies (Dmod, RandomLoadBalanced) can leave wires
   /// idle, so a contended bucket's winner count is no longer min(size,

@@ -2,11 +2,12 @@
 // materialized ones (results and trace streams), the narrow/wide channel
 // index boundary at 2^16 channels is seamless, checked narrowing aborts
 // at the 32-bit boundary, and the subtree-sharded parallel executor
-// matches the serial engine on every workload shape — including faults
-// and retry policies. See DESIGN.md "Scale-out".
+// matches the serial engine on every workload shape — including faults,
+// retry policies and the wide (u32) hop path. See DESIGN.md "Scale-out".
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/capacity.hpp"
@@ -591,6 +592,98 @@ TEST(Scaleout, ParallelSpineMatchesSerialUnderFaultsAndRetries) {
             << parallel_spine;
       }
     }
+  }
+}
+
+// --- Wide hop path ---------------------------------------------------------
+
+// Above 2^16 channel slots the engine runs its u32 (wide) hop path, where
+// fused_stage prefetches ahead in its fill sweep and contended-bucket
+// winner loop. n = 2^15 leaves (2^17 channel slots) is the smallest fat
+// tree on that path. Serial, sharded at every shard depth and sharded with
+// the serial spine must agree there under every routing policy, on
+// multi-hop paths with heavy top-level contention.
+TEST(Scaleout, WidePathExecutorsMatchSerialUnderEveryPolicy) {
+  const std::uint32_t n = 1u << 15;
+  FatTreeTopology topo(n);
+  const auto caps = CapacityProfile::universal(topo, 64);
+  Rng gen(43);
+  const auto m = random_permutation_traffic(n, gen);
+  const PathSet paths = fat_tree_path_set(topo, m);
+  ASSERT_GT(fat_tree_channel_graph(topo, caps).num_channels(), 65536u);
+
+  for (const RoutingPolicy pol :
+       {RoutingPolicy::ObliviousRandom, RoutingPolicy::DeterministicDmod,
+        RoutingPolicy::RandomLoadBalanced,
+        RoutingPolicy::AdaptiveOccupancy}) {
+    SCOPED_TRACE("policy " + std::to_string(static_cast<int>(pol)));
+    EngineOptions serial_opts;
+    serial_opts.seed = 1212;
+    serial_opts.policy = pol;
+    CycleEngine serial_engine(fat_tree_channel_graph(topo, caps),
+                              serial_opts);
+    const EngineResult serial = serial_engine.run(paths);
+    EXPECT_FALSE(serial.gave_up);
+    EXPECT_EQ(serial.delivered, n);
+    EXPECT_GT(serial.total_losses, 0u);
+
+    const struct {
+      std::uint32_t shard_level;
+      bool parallel_spine;
+    } configs[] = {{1, true}, {2, true}, {3, true}, {2, false}, {3, false}};
+    for (const auto& cfg : configs) {
+      SCOPED_TRACE("shard_level " + std::to_string(cfg.shard_level) +
+                   " parallel_spine " + std::to_string(cfg.parallel_spine));
+      EngineOptions opts = serial_opts;
+      opts.parallel = true;
+      opts.threads = 4;
+      opts.parallel_spine = cfg.parallel_spine;
+      CycleEngine engine(fat_tree_channel_graph(topo, caps, cfg.shard_level),
+                         opts);
+      const EngineResult got = engine.run(paths);
+      expect_same_result(serial, got, "wide-path sharded run");
+    }
+  }
+}
+
+// The traced event stream on the wide path: a ~2k-message subset keeps the
+// trace small while every message still contends on multi-hop paths. Every
+// executor runs the same stage sweep (fused_stage), so a defect in it would
+// keep serial and sharded in agreement; the serial run is therefore also
+// pinned to values recorded from an engine whose serial sweep was a
+// separate implementation.
+TEST(Scaleout, WidePathShardedTraceMatchesSerial) {
+  const std::uint32_t n = 1u << 15;
+  FatTreeTopology topo(n);
+  const auto caps = CapacityProfile::universal(topo, 64);
+  Rng gen(47);
+  auto m = random_permutation_traffic(n, gen);
+  m.resize(2048);
+  const PathSet paths = fat_tree_path_set(topo, m);
+
+  EngineOptions serial_opts;
+  serial_opts.seed = 1313;
+  CycleEngine serial_engine(fat_tree_channel_graph(topo, caps), serial_opts);
+  TraceSink serial_trace;
+  const EngineResult serial = serial_engine.run(paths, &serial_trace);
+  EXPECT_EQ(serial.delivered, m.size());
+  EXPECT_EQ(serial.cycles, 182u);
+  EXPECT_EQ(serial.total_attempts, 179328u);
+  EXPECT_EQ(serial.total_losses, 177280u);
+  EXPECT_EQ(serial.total_hops, 480071u);
+  EXPECT_EQ(event_fingerprint(serial_trace), 13055706349232410059ull);
+
+  for (const bool parallel_spine : {false, true}) {
+    EngineOptions opts = serial_opts;
+    opts.parallel = true;
+    opts.threads = 4;
+    opts.parallel_spine = parallel_spine;
+    CycleEngine engine(fat_tree_channel_graph(topo, caps, 3), opts);
+    TraceSink trace;
+    const EngineResult got = engine.run(paths, &trace);
+    expect_same_result(serial, got, "wide-path traced run");
+    EXPECT_EQ(event_fingerprint(serial_trace), event_fingerprint(trace))
+        << "parallel_spine " << parallel_spine;
   }
 }
 
