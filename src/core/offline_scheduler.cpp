@@ -325,22 +325,7 @@ Schedule schedule_greedy(const FatTreeTopology& topo,
 
 bool verify_schedule(const FatTreeTopology& topo, const CapacityProfile& caps,
                      const MessageSet& m, const Schedule& s) {
-  // Every cycle must individually respect capacities: replaying the
-  // schedule on the engine tallies each channel-cycle's load against cap.
-  if (replay_schedule(topo, caps, s).capacity_violations != 0) return false;
-  // The cycles must partition m as a multiset.
-  auto key = [](const Message& msg) {
-    return (static_cast<std::uint64_t>(msg.src) << 32) | msg.dst;
-  };
-  std::vector<std::uint64_t> want, got;
-  want.reserve(m.size());
-  for (const auto& msg : m) want.push_back(key(msg));
-  for (const auto& cycle : s.cycles) {
-    for (const auto& msg : cycle) got.push_back(key(msg));
-  }
-  std::sort(want.begin(), want.end());
-  std::sort(got.begin(), got.end());
-  return want == got;
+  return verify_replayed_schedule(m, s, replay_schedule(topo, caps, s));
 }
 
 }  // namespace ft

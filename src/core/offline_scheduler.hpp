@@ -72,7 +72,9 @@ Schedule schedule_offline_packed(const FatTreeTopology& topo,
                                  const MessageSet& m);
 
 /// True iff `s` is a valid schedule of `m`: the cycles partition m (as a
-/// multiset) and every cycle is a one-cycle message set.
+/// multiset) and every cycle is a one-cycle message set. Replays `s` once;
+/// a caller that already holds that replay checks it with
+/// verify_replayed_schedule (core/replay.hpp) instead.
 bool verify_schedule(const FatTreeTopology& topo, const CapacityProfile& caps,
                      const MessageSet& m, const Schedule& s);
 

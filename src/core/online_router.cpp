@@ -122,6 +122,7 @@ OnlineRoutingResult route_online_stream(const FatTreeTopology& topo,
   result.degraded_channel_cycles = er.degraded_channel_cycles;
   result.phases = er.phases;
   result.delivered_per_cycle = er.delivered_per_cycle;
+  if (opts.max_cycles == 0) result.lambda = lambda_hint;
 
   if (routed.self_delivered() > 0) {
     // Purely local traffic still takes one delivery cycle.

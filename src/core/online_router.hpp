@@ -51,6 +51,10 @@ struct OnlineRoutingResult {
   std::uint64_t fault_up_events = 0;    ///< channel repair transitions
   std::uint64_t subtree_kill_events = 0;  ///< correlated domain strikes
   std::uint64_t degraded_channel_cycles = 0;  ///< Σ degraded chans/cycle
+  /// λ(M) behind the default give-up horizon (opts.max_cycles == 0):
+  /// route_online's load_factor(topo, caps, m), route_online_stream's
+  /// lambda_hint. 0 when opts.max_cycles is set — no horizon to size.
+  double lambda = 0.0;
   /// Wall-clock Amdahl decomposition of the cycle loop; all-zero unless
   /// OnlineRouterOptions::time_phases was set.
   EnginePhaseProfile phases;

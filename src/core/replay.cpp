@@ -1,5 +1,7 @@
 #include "core/replay.hpp"
 
+#include <algorithm>
+
 #include "engine/engine.hpp"
 #include "engine/fat_tree_model.hpp"
 
@@ -99,6 +101,26 @@ ReplayResult replay_schedule(const FatTreeTopology& topo,
   result.phases = er.phases;
   result.delivered_per_cycle = er.delivered_per_cycle;
   return result;
+}
+
+bool verify_replayed_schedule(const MessageSet& m, const Schedule& s,
+                              const ReplayResult& replay) {
+  // Every cycle must individually respect capacities: the replay tallied
+  // each channel-cycle's load against cap.
+  if (replay.capacity_violations != 0) return false;
+  // The cycles must partition m as a multiset.
+  auto key = [](const Message& msg) {
+    return (static_cast<std::uint64_t>(msg.src) << 32) | msg.dst;
+  };
+  std::vector<std::uint64_t> want, got;
+  want.reserve(m.size());
+  for (const auto& msg : m) want.push_back(key(msg));
+  for (const auto& cycle : s.cycles) {
+    for (const auto& msg : cycle) got.push_back(key(msg));
+  }
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  return want == got;
 }
 
 }  // namespace ft

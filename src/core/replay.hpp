@@ -5,6 +5,14 @@
 // its scheduled cycle and the engine reports exactly what each channel
 // carried. This is the single source of truth for schedule analytics —
 // verify_schedule() and core/schedule_stats build on it.
+//
+// A fault-free replay is one linear pass over the schedule's hops: no
+// channel can reject under Tally, so the engine skips its stage sweep
+// (worklists, buckets, arbitration) and just counts each message's path.
+// A fault plan brings the stage sweep back, since down channels reject.
+// Callers that replay anyway check the schedule from that one replay
+// (verify_replayed_schedule) instead of replaying again through
+// verify_schedule — ftd's run_job does.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +29,8 @@ namespace ft {
 
 struct ReplayOptions {
   /// Resolve channels on a thread pool; identical results to serial mode.
+  /// Only a faulted replay has stage sweeps to spread; a fault-free one
+  /// is a single serial pass either way.
   bool parallel = false;
   std::size_t threads = 0;
   /// Optional transient-fault plan (not owned). A down channel rejects
@@ -61,5 +71,12 @@ ReplayResult replay_schedule(const FatTreeTopology& topo,
                              const Schedule& schedule,
                              const ReplayOptions& opts = {},
                              EngineObserver* observer = nullptr);
+
+/// True iff `replay` — replay_schedule's fault-free result for `s` — saw
+/// no capacity violation and the cycles of `s` partition `m` as a
+/// multiset. verify_schedule(topo, caps, m, s) is exactly this check on
+/// replay_schedule(topo, caps, s).
+bool verify_replayed_schedule(const MessageSet& m, const Schedule& s,
+                              const ReplayResult& replay);
 
 }  // namespace ft

@@ -966,6 +966,26 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
   }
 }
 
+/// Hops and occupancy are exactly what the stage sweep would account with
+/// every bucket under limit, and a cursor on end is all the delivery,
+/// trace and compaction code downstream reads.
+template <typename ChanT>
+void CycleEngine::tally_sweep(const ChanT* chan, std::uint64_t& cycle_hops) {
+  std::uint64_t* const ce = ce_.data();
+  const std::size_t live = ce_.size();
+  std::uint32_t* const car = want_carried_ ? carried_.data() : nullptr;
+  for (std::size_t i = 0; i < live; ++i) {
+    const std::uint64_t v = ce[i];
+    const auto cursor = static_cast<std::uint32_t>(v);
+    const auto end = static_cast<std::uint32_t>(v >> 32);
+    if (car != nullptr) {
+      for (std::uint32_t h = cursor; h < end; ++h) ++car[chan[h]];
+    }
+    cycle_hops += end - cursor;
+    ce[i] = (v & 0xffffffff00000000ull) | end;
+  }
+}
+
 EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
   if (narrow_) {
     return run_lossy_t<std::uint16_t>(chan_buf16_, feed, observer);
@@ -1074,6 +1094,12 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     faults = std::make_unique<FaultState>(*opts_.fault_plan, graph_);
   }
   active_limit_ = limit_.data();
+  // Fault-free tally: every limit is 2^32 - 1 and nothing can lower it,
+  // so every seeded message crosses all of its hops in the cycle it is
+  // seeded. Such runs build no worklists and run tally_sweep in place of
+  // the stage sweep.
+  const bool sweep_free =
+      opts_.contention == ContentionPolicy::Tally && faults == nullptr;
   // Messages seeded to contend in the current cycle; equals pending when
   // no retry policy parks anyone.
   std::uint64_t contenders = 0;
@@ -1176,7 +1202,6 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
           const std::uint32_t begin = base + off;
           const auto idx = static_cast<std::uint32_t>(ce_.size());
           const std::uint32_t fc = chans[off];
-          const std::uint32_t fs = stg[fc];
           ce_.push_back(
               (static_cast<std::uint64_t>(begin + len) << 32) | begin);
           begin_.push_back(begin);
@@ -1188,7 +1213,7 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
           }
           if (lat_on) inject_cycle_.push_back(cycle);
           ++contenders;
-          seed_entry(idx, fc, fs);
+          if (!sweep_free) seed_entry(idx, fc, stg[fc]);
           if (trace) {
             observer->on_message_event(
                 {MessageEventKind::Inject, id, cycle, fc});
@@ -1227,7 +1252,13 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     const ChanT* chan = chan_buf.data();
     std::uint64_t cycle_losses = 0;
     std::uint64_t cycle_hops = 0;
-    if (sharded_) {
+    if (sweep_free) {
+      // One serial pass: timed as the serial (spine) band, like the
+      // serial stages below.
+      const auto st0 = time_phases_ ? PhaseClock::now() : cyc_t0;
+      tally_sweep(chan, cycle_hops);
+      if (time_phases_) ph_spine_ += phase_delta(st0, PhaseClock::now());
+    } else if (sharded_) {
       run_cycle_sharded(chan, cycle, cycle_losses, cycle_hops);
     } else if (time_phases_) {
       // Timed twin of the loop below: stages resolved on the pool count

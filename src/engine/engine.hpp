@@ -14,7 +14,10 @@
 //                     queues, up to cap(c) forwards per round (competitor
 //                     networks, k-ary n-trees);
 //       Tally         no arbitration, pure occupancy accounting (offline
-//                     schedule replay and utilization analytics).
+//                     schedule replay and utilization analytics). Without
+//                     an active fault plan no channel can reject, so a
+//                     tally cycle skips the stage sweep: one pass over the
+//                     live messages counts every hop (tally_sweep).
 //   * Channel model — the ChannelGraph handed to the constructor
 //     (engine/fat_tree_model.hpp, nets/Network, kary/KaryTree adapters).
 //
@@ -286,6 +289,12 @@ class CycleEngine {
   void run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
                          std::uint64_t& cycle_losses,
                          std::uint64_t& cycle_hops);
+  /// A fault-free Tally cycle's whole sweep: every live message crosses
+  /// its remaining hops (occupancy into carried_ when wanted, hop totals
+  /// into cycle_hops) and its cursor moves to end. No worklists, buckets
+  /// or arbitration — no channel can reject.
+  template <typename ChanT>
+  void tally_sweep(const ChanT* chan, std::uint64_t& cycle_hops);
   EngineResult run_lossy(BatchFeed& feed, EngineObserver* observer);
   template <typename ChanT>
   EngineResult run_lossy_t(std::vector<ChanT>& chan_buf, BatchFeed& feed,

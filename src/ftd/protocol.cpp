@@ -276,7 +276,9 @@ JsonValue run_route_online(const JobRequest& req) {
   stamp_params(run, req);
   run["policy"] = req.policy_name;
   run["messages"] = static_cast<std::uint64_t>(m.size());
-  run["lambda"] = load_factor(topo, caps, m);
+  // route_online already computed λ(M) for its default give-up horizon.
+  run["lambda"] =
+      req.max_cycles == 0 ? res.lambda : load_factor(topo, caps, m);
   run["cycles"] = res.delivery_cycles;
   run["attempts"] = res.total_attempts;
   run["losses"] = res.total_losses;
@@ -300,8 +302,8 @@ JsonValue run_replay_offline(const JobRequest& req) {
   } else {  // greedy (validated upstream)
     schedule = schedule_greedy(topo, caps, m);
   }
-  const bool verified = verify_schedule(topo, caps, m, schedule);
   const auto replay = replay_schedule(topo, caps, schedule);
+  const bool verified = verify_replayed_schedule(m, schedule, replay);
 
   JsonValue run = JsonValue::object();
   run["kind"] = "replay_offline";

@@ -173,5 +173,73 @@ TEST_F(ParityFixture, ReplayOfflineFieldsMatchDirectScheduleCall) {
   EXPECT_EQ(doc->find("verified")->as_bool(), verified);
 }
 
+// run_job verifies a replay_offline schedule from its one replay
+// (verify_replayed_schedule); the payload's "verified" must still equal a
+// standalone verify_schedule call on the same grid as
+// ReplayOfflineAcrossSchedulers.
+TEST(RunJob, ReplayOfflineVerifiedEqualsVerifySchedule) {
+  const std::uint32_t n = 64;
+  const FatTreeTopology topo(n);
+  const auto caps = CapacityProfile::universal(topo, n / 4);
+  for (const char* sched : {"offline", "packed", "greedy"}) {
+    for (const char* workload : {"transpose", "random-perm"}) {
+      const std::string body =
+          std::string("{\"id\":\"v\",\"job\":{\"kind\":\"replay_offline\","
+                      "\"n\":64,\"workload\":\"") +
+          workload + "\",\"scheduler\":\"" + sched + "\",\"seed\":3}}";
+      RequestError err;
+      const auto req = parse_request(body, err);
+      ASSERT_TRUE(req.has_value()) << body << " -> " << err.message;
+
+      Rng rng(3);
+      const MessageSet m = std::string(workload) == "transpose"
+                               ? transpose_traffic(n)
+                               : random_permutation_traffic(n, rng);
+      Schedule schedule;
+      if (std::string(sched) == "offline") {
+        schedule = schedule_offline(topo, caps, m);
+      } else if (std::string(sched) == "packed") {
+        schedule = schedule_offline_packed(topo, caps, m);
+      } else {
+        schedule = schedule_greedy(topo, caps, m);
+      }
+      const JsonValue run = run_job(*req);
+      EXPECT_EQ(run.find("verified")->as_bool(),
+                verify_schedule(topo, caps, m, schedule))
+          << body;
+      EXPECT_EQ(run.find("cycles")->as_uint(), schedule.num_cycles()) << body;
+    }
+  }
+}
+
+// route_online reports the λ(M) it computed for its default give-up
+// horizon and run_job reuses it; with max_cycles set, run_job computes it
+// itself. Either way the payload carries load_factor exactly.
+TEST(RunJob, RouteOnlineLambdaEqualsLoadFactor) {
+  const std::uint32_t n = 64;
+  const FatTreeTopology topo(n);
+  const auto caps = CapacityProfile::universal(topo, n / 4);
+  Rng rng(5);
+  const MessageSet m = random_permutation_traffic(n, rng);
+  const double lambda = load_factor(topo, caps, m);
+  for (const char* extra : {"", ",\"max_cycles\":500"}) {
+    const std::string body =
+        std::string("{\"id\":\"l\",\"job\":{\"kind\":\"route_online\",\"n\":64,"
+                    "\"workload\":\"random-perm\",\"seed\":5") +
+        extra + "}}";
+    RequestError err;
+    const auto req = parse_request(body, err);
+    ASSERT_TRUE(req.has_value()) << body << " -> " << err.message;
+    EXPECT_EQ(run_job(*req).find("lambda")->as_double(), lambda) << body;
+  }
+
+  Rng router_rng(5);
+  const auto res = route_online(topo, caps, m, router_rng);
+  EXPECT_EQ(res.lambda, lambda);
+  OnlineRouterOptions capped;
+  capped.max_cycles = 500;
+  EXPECT_EQ(route_online(topo, caps, m, router_rng, capped).lambda, 0.0);
+}
+
 }  // namespace
 }  // namespace ft::ftd

@@ -3,15 +3,20 @@
 // index boundary at 2^16 channels is seamless, checked narrowing aborts
 // at the 32-bit boundary, and the subtree-sharded parallel executor
 // matches the serial engine on every workload shape — including faults,
-// retry policies and the wide (u32) hop path. See DESIGN.md "Scale-out".
+// retry policies and the wide (u32) hop path — and fault-free Tally runs,
+// which skip the stage sweep, count exactly what a naive per-cycle channel
+// map counts. See DESIGN.md "Scale-out".
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "core/capacity.hpp"
+#include "core/offline_scheduler.hpp"
 #include "core/online_router.hpp"
+#include "core/replay.hpp"
 #include "core/topology.hpp"
 #include "core/traffic.hpp"
 #include "engine/engine.hpp"
@@ -685,6 +690,211 @@ TEST(Scaleout, WidePathShardedTraceMatchesSerial) {
     EXPECT_EQ(event_fingerprint(serial_trace), event_fingerprint(trace))
         << "parallel_spine " << parallel_spine;
   }
+}
+
+// --- Sweep-free tally ------------------------------------------------------
+
+/// Independent reference for a Tally replay: per scheduled cycle, a
+/// std::map from channel to the number of the cycle's messages whose
+/// fat-tree path (fat_tree_engine_path, one message at a time) crosses it.
+struct NaiveTally {
+  std::vector<std::map<std::uint32_t, std::uint32_t>> per_cycle;
+  std::uint64_t hops = 0;
+
+  NaiveTally(const FatTreeTopology& topo, const Schedule& s) {
+    for (const MessageSet& cycle : s.cycles) {
+      std::map<std::uint32_t, std::uint32_t> count;
+      for (const Message& msg : cycle) {
+        for (const std::uint32_t c :
+             fat_tree_engine_path(topo, msg.src, msg.dst)) {
+          ++count[c];
+          ++hops;
+        }
+      }
+      per_cycle.push_back(std::move(count));
+    }
+  }
+
+  /// Channel-cycles whose count exceeds the channel's capacity.
+  std::uint64_t violations(const ChannelGraph& g) const {
+    std::uint64_t v = 0;
+    for (const auto& cycle : per_cycle) {
+      for (const auto& [c, count] : cycle) {
+        if (g.capacity[c] != 0 && count > g.capacity[c]) ++v;
+      }
+    }
+    return v;
+  }
+};
+
+/// Compares every cycle's carried snapshot with the naive count.
+class NaiveTallyCheck final : public EngineObserver {
+ public:
+  explicit NaiveTallyCheck(const NaiveTally& naive) : naive_(naive) {}
+
+  void on_cycle(const CycleSnapshot& snap) override {
+    ++cycles_seen_;
+    if (snap.carried == nullptr || snap.cycle == 0 ||
+        snap.cycle > naive_.per_cycle.size()) {
+      ++bad_cycles_;
+      return;
+    }
+    const auto& want = naive_.per_cycle[snap.cycle - 1];
+    const std::vector<std::uint32_t>& got = *snap.carried;
+    std::size_t nonzero = 0;
+    bool ok = true;
+    for (std::uint32_t c = 0; c < got.size(); ++c) {
+      if (got[c] == 0) continue;
+      ++nonzero;
+      const auto it = want.find(c);
+      ok = ok && it != want.end() && it->second == got[c];
+    }
+    if (!ok || nonzero != want.size()) ++bad_cycles_;
+  }
+
+  std::uint64_t cycles_seen() const { return cycles_seen_; }
+  std::uint64_t bad_cycles() const { return bad_cycles_; }
+
+ private:
+  const NaiveTally& naive_;
+  std::uint64_t cycles_seen_ = 0;
+  std::uint64_t bad_cycles_ = 0;
+};
+
+/// Replays `s` on the serial, unsharded parallel and sharded engines, each
+/// checked cycle by cycle against the naive count; returns the naive
+/// capacity-violation count.
+std::uint64_t expect_tally_matches_naive(const FatTreeTopology& topo,
+                                         const CapacityProfile& caps,
+                                         const Schedule& s,
+                                         std::uint32_t shard_level) {
+  std::vector<PathSet> batches;
+  for (const MessageSet& cycle : s.cycles) {
+    batches.push_back(fat_tree_path_set(topo, cycle));
+  }
+  const struct {
+    const char* name;
+    bool parallel;
+    std::uint32_t shard_level;
+  } engines[] = {{"serial", false, 0},
+                 {"parallel", true, 0},
+                 {"sharded", true, shard_level}};
+  std::uint64_t routed = 0;
+  for (const MessageSet& cycle : s.cycles) {
+    for (const Message& msg : cycle) routed += msg.src != msg.dst;
+  }
+  const NaiveTally naive(topo, s);
+  for (const auto& e : engines) {
+    SCOPED_TRACE(e.name);
+    EngineOptions opts;
+    opts.contention = ContentionPolicy::Tally;
+    opts.parallel = e.parallel;
+    opts.threads = 4;
+    CycleEngine engine(fat_tree_channel_graph(topo, caps, e.shard_level),
+                       opts);
+    NaiveTallyCheck check(naive);
+    const EngineResult r = engine.run_batched(batches, &check);
+    EXPECT_EQ(r.cycles, s.num_cycles());
+    EXPECT_EQ(check.cycles_seen(), s.num_cycles());
+    EXPECT_EQ(check.bad_cycles(), 0u);
+    EXPECT_EQ(r.total_hops, naive.hops);
+    EXPECT_EQ(r.total_attempts, routed);  // local messages never attempt
+    EXPECT_EQ(r.total_losses, 0u);
+    EXPECT_EQ(r.delivered, s.total_messages());
+    std::vector<std::uint32_t> per_cycle;
+    for (const MessageSet& cycle : s.cycles) {
+      per_cycle.push_back(static_cast<std::uint32_t>(cycle.size()));
+    }
+    EXPECT_EQ(r.delivered_per_cycle, per_cycle);
+  }
+  return naive.violations(fat_tree_channel_graph(topo, caps));
+}
+
+// Valid schedules of stacked permutations on the narrow (u16) path: every
+// cycle's occupancy matches the naive map and nothing exceeds capacity.
+TEST(Scaleout, TallyMatchesNaiveCountNarrow) {
+  const std::uint32_t n = 64;
+  FatTreeTopology topo(n);
+  const auto caps = CapacityProfile::universal(topo, 16);
+  Rng gen(71);
+  auto m = stacked_permutations(n, 4, gen);
+  m.push_back({9, 9});  // a local message rides along
+  const Schedule s = schedule_offline(topo, caps, m);
+  EXPECT_EQ(expect_tally_matches_naive(topo, caps, s, 2), 0u);
+  EXPECT_EQ(replay_schedule(topo, caps, s).capacity_violations, 0u);
+}
+
+// A hand-built schedule that overloads its cycles: the tally still
+// delivers everything, and capacity_violations equals the naive count of
+// over-capacity channel-cycles.
+TEST(Scaleout, TallyCountsOverCapacityLikeNaive) {
+  const std::uint32_t n = 64;
+  FatTreeTopology topo(n);
+  const auto caps = CapacityProfile::universal(topo, 4);
+  Rng gen(73);
+  Schedule s;
+  s.cycles.push_back(stacked_permutations(n, 3, gen));  // far over capacity
+  s.cycles.push_back(complement_traffic(n));  // all cross the 4-wire root
+  s.cycles.push_back({{0, 1}, {2, 3}});       // within capacity
+  const std::uint64_t naive = expect_tally_matches_naive(topo, caps, s, 2);
+  EXPECT_GT(naive, 0u);
+  for (const bool parallel : {false, true}) {
+    ReplayOptions opts;
+    opts.parallel = parallel;
+    opts.threads = 4;
+    EXPECT_EQ(replay_schedule(topo, caps, s, opts).capacity_violations, naive)
+        << "parallel " << parallel;
+  }
+}
+
+// The wide (u32) path: n = 2^15 leaves, 2^17 channel slots, a greedy
+// schedule of one random permutation (w = 1024 keeps it to ~20 cycles).
+TEST(Scaleout, TallyMatchesNaiveCountWide) {
+  const std::uint32_t n = 1u << 15;
+  FatTreeTopology topo(n);
+  const auto caps = CapacityProfile::universal(topo, 1024);
+  ASSERT_GT(fat_tree_channel_graph(topo, caps).num_channels(), 65536u);
+  Rng gen(79);
+  const auto m = random_permutation_traffic(n, gen);
+  const Schedule s = schedule_greedy(topo, caps, m);
+  EXPECT_EQ(expect_tally_matches_naive(topo, caps, s, 3), 0u);
+}
+
+// The traced event stream of a tally replay — Inject, Attempt and Deliver
+// per message, local deliveries included — pinned to the fingerprint and
+// counters recorded from an engine that ran tally cycles through the
+// stage sweep, and equal on the sharded executor.
+TEST(Scaleout, TallyReplayTraceIsPinned) {
+  const std::uint32_t n = 64;
+  FatTreeTopology topo(n);
+  const auto caps = CapacityProfile::universal(topo, 16);
+  Rng gen(41);
+  auto m = stacked_permutations(n, 3, gen);
+  m.push_back({5, 5});
+  const Schedule s = schedule_offline(topo, caps, m);
+  std::vector<PathSet> batches;
+  for (const MessageSet& cycle : s.cycles) {
+    batches.push_back(fat_tree_path_set(topo, cycle));
+  }
+
+  EngineOptions serial_opts;
+  serial_opts.contention = ContentionPolicy::Tally;
+  CycleEngine serial_engine(fat_tree_channel_graph(topo, caps), serial_opts);
+  TraceSink serial_trace;
+  const EngineResult serial = serial_engine.run_batched(batches, &serial_trace);
+  EXPECT_EQ(serial.cycles, 18u);
+  EXPECT_EQ(serial.delivered, m.size());
+  EXPECT_EQ(serial.total_hops, 1904u);
+  EXPECT_EQ(event_fingerprint(serial_trace), 10564680827242615073ull);
+
+  EngineOptions opts = serial_opts;
+  opts.parallel = true;
+  opts.threads = 4;
+  CycleEngine engine(fat_tree_channel_graph(topo, caps, 2), opts);
+  TraceSink trace;
+  const EngineResult sharded = engine.run_batched(batches, &trace);
+  expect_same_result(serial, sharded, "sharded tally replay");
+  EXPECT_EQ(event_fingerprint(serial_trace), event_fingerprint(trace));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/load.hpp"
+#include "core/replay.hpp"
 #include "core/traffic.hpp"
 #include "util/bits.hpp"
 #include "util/prng.hpp"
@@ -189,6 +190,51 @@ TEST(VerifySchedule, RejectsInventedMessage) {
   s.cycles.push_back({{0, 7}});
   s.cycles.push_back({{2, 3}});
   EXPECT_FALSE(verify_schedule(t, caps, m, s));
+}
+
+// verify_replayed_schedule: the check half of verify_schedule, on a replay
+// the caller already ran.
+TEST(VerifyReplayedSchedule, AcceptsValidSchedule) {
+  FatTreeTopology t(64);
+  const auto caps = CapacityProfile::universal(t, 16);
+  Rng gen(91);
+  const auto m = stacked_permutations(64, 3, gen);
+  const auto s = schedule_offline(t, caps, m);
+  EXPECT_TRUE(verify_replayed_schedule(m, s, replay_schedule(t, caps, s)));
+}
+
+TEST(VerifyReplayedSchedule, RejectsDroppedMessage) {
+  FatTreeTopology t(8);
+  const auto caps = CapacityProfile::doubling(t);
+  const MessageSet m{{0, 7}, {1, 6}};
+  Schedule s;
+  s.cycles.push_back({{0, 7}});  // message {1,6} missing
+  const auto replay = replay_schedule(t, caps, s);
+  EXPECT_EQ(replay.capacity_violations, 0u);
+  EXPECT_FALSE(verify_replayed_schedule(m, s, replay));
+}
+
+TEST(VerifyReplayedSchedule, RejectsDuplicatedMessage) {
+  FatTreeTopology t(8);
+  const auto caps = CapacityProfile::doubling(t);
+  const MessageSet m{{0, 7}, {1, 6}};
+  Schedule s;
+  s.cycles.push_back({{0, 7}, {1, 6}});
+  s.cycles.push_back({{1, 6}});  // scheduled twice
+  const auto replay = replay_schedule(t, caps, s);
+  EXPECT_EQ(replay.capacity_violations, 0u);
+  EXPECT_FALSE(verify_replayed_schedule(m, s, replay));
+}
+
+TEST(VerifyReplayedSchedule, RejectsOverCapacityReplay) {
+  FatTreeTopology t(8);
+  const auto caps = CapacityProfile::constant(t, 1);
+  const MessageSet m{{0, 7}, {1, 6}};  // both need the root, capacity 1
+  Schedule s;
+  s.cycles.push_back(m);  // the multiset partition itself is fine
+  const auto replay = replay_schedule(t, caps, s);
+  EXPECT_GT(replay.capacity_violations, 0u);
+  EXPECT_FALSE(verify_replayed_schedule(m, s, replay));
 }
 
 }  // namespace
