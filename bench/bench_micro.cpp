@@ -18,6 +18,7 @@
 
 #include "core/load.hpp"
 #include "core/offline_scheduler.hpp"
+#include "core/online_router.hpp"
 #include "core/traffic.hpp"
 #include "engine/engine.hpp"
 #include "engine/fat_tree_model.hpp"
@@ -355,7 +356,7 @@ std::pair<EngineBenchRow, EngineBenchRow> time_engine_telemetry(
 /// measured Amdahl serial fraction (spine + coordination over total)
 /// across PRs at every thread count — not just end-to-end cycles/s at
 /// hardware concurrency. The graph is sharded the way route_online would
-/// shard it for `threads` workers (~2 shards per worker), so the row
+/// shard it for `threads` workers (ft::auto_shard_level), so the row
 /// measures the production executor, parallel spine included.
 struct ThreadBenchRow {
   std::uint32_t n = 0;
@@ -373,10 +374,8 @@ ThreadBenchRow time_engine_threads(std::uint32_t n, std::size_t threads,
   ft::Rng gen(9000 + n);
   const auto m = ft::stacked_permutations(n, 4, gen);
   const auto paths = ft::fat_tree_path_set(topo, m);
-  std::uint32_t lvl = 1;
-  while ((std::size_t{1} << lvl) < threads * 2 && lvl < 6) ++lvl;
-  lvl = std::min(lvl, topo.height() - 1);
-  const auto graph = ft::fat_tree_channel_graph(topo, caps, lvl);
+  const auto graph = ft::fat_tree_channel_graph(
+      topo, caps, ft::auto_shard_level(threads, topo.height()));
 
   ft::EngineOptions opts;
   opts.seed = 42;

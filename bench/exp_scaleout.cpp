@@ -214,7 +214,8 @@ int main(int argc, char** argv) {
               << " (spine " << par.phases.spine_seconds << "s + coord "
               << par.phases.coord_seconds << "s of "
               << par.phases.total_seconds() << "s; parallel spine "
-              << par.phases.spine_parallel_seconds << "s); speedup ceiling "
+              << par.phases.spine_parallel_seconds << "s, pooled compaction "
+              << par.phases.compact_seconds << "s); speedup ceiling "
               << (sf > 0 ? 1.0 / sf : 0.0) << "x\n";
     report.root()["amdahl"] = ft::phase_profile_json(par.phases);
   }

@@ -78,7 +78,9 @@ void usage() {
       "  --shard-level=K  subtree shard depth for --parallel (2^K shards;\n"
       "                 0 = unsharded). Precedence: this flag, then the\n"
       "                 FT_SHARD_LEVEL environment variable, then the\n"
-      "                 auto heuristic (~2 shards per worker)\n"
+      "                 auto rule: >= 8 shards per pool participant\n"
+      "                 (T + 1), at most level 6 and >= 1024 leaves\n"
+      "                 per shard\n"
       "  --seed S       RNG seed (default 1)\n"
       "  --csv          emit CSV instead of an aligned table\n"
       "  --trace F      write Chrome trace JSON (chrome://tracing, Perfetto)\n"

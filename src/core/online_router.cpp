@@ -39,17 +39,8 @@ class NonSelfStream final : public MessageStream {
 // Shard depth for the engine's subtree-sharded parallel mode. Precedence:
 // an explicit OnlineRouterOptions::shard_level wins, then the
 // FT_SHARD_LEVEL environment variable (experiments sweep it without
-// recompiling), then the heuristic — about two shards per worker. The
-// heuristic used to aim for four when the shard loop was the only
-// load-balancer; with the work-stealing pool rebalancing bands and the
-// spine arbitrated in parallel, extra shards only buy serial overhead —
-// a deeper shard level widens the spine band, and per-shard worklist
-// setup plus the outbox-distribution pass grow with shard count, all on
-// the serial side of the phase profile. Measured on the E17 workload
-// (n = 2^18, FT_SHARD_LEVEL sweep): 2^2 -> 2^4 shards roughly triples
-// spine-band time and raises the measured Amdahl serial fraction from
-// ~0.36 to ~0.40 with no up/down-sweep win. Always capped by the
-// topology: the spine must stay above the leaves.
+// recompiling), then auto_shard_level. Always capped by the topology:
+// the spine must stay above the leaves.
 std::uint32_t pick_shard_level(const FatTreeTopology& topo,
                                const OnlineRouterOptions& opts) {
   if (!opts.parallel || topo.height() < 2) return 0;
@@ -66,16 +57,30 @@ std::uint32_t pick_shard_level(const FatTreeTopology& topo,
                       cap);
     }
   }
-  std::size_t workers = opts.threads;
-  if (workers == 0) {
-    workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  std::uint32_t lvl = 1;
-  while ((std::size_t{1} << lvl) < workers * 2 && lvl < 6) ++lvl;
-  return std::min(lvl, cap);
+  return auto_shard_level(opts.threads, topo.height());
 }
 
 }  // namespace
+
+// The shard loop is the load balancer of a contended cycle: a band's
+// makespan is its slowest participant's share of whole shards, and the
+// run_tasks caller is a participant too (threads + 1 of them). At one or
+// two shards per participant a single heavy subtree, or one descheduled
+// vCPU, stalls the band; at 8 per participant the stealing pool evens it
+// out. Deeper levels widen the spine band, which small trees cannot
+// fill, so a shard keeps at least 1024 leaves, and past level 6 the
+// per-shard bookkeeping outgrows the balance gain. The sweep behind the
+// rule is in DESIGN.md, "Shard sizing".
+std::uint32_t auto_shard_level(std::size_t threads, std::uint32_t height) {
+  if (height < 2) return 0;
+  if (threads == 0) {
+    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
+  const std::size_t want = 8 * (threads + 1);
+  std::uint32_t lvl = 1;
+  while ((std::size_t{1} << lvl) < want && lvl < 6) ++lvl;
+  return std::min(lvl, height > 10 ? height - 10 : 1);
+}
 
 OnlineRoutingResult route_online_stream(const FatTreeTopology& topo,
                                         const CapacityProfile& caps,

@@ -91,9 +91,10 @@ struct OnlineRouterOptions {
   bool parallel_spine = true;
   /// Subtree shard depth for the parallel executor. kShardLevelAuto
   /// defers to the FT_SHARD_LEVEL environment variable if set, else to
-  /// the pick_shard_level heuristic (~2 shards per worker); any other
-  /// value — 0 means explicitly unsharded — is used as-is, clamped to
-  /// the topology height. Ignored in serial mode.
+  /// auto_shard_level (at least 8 shards per pool participant, at most
+  /// level 6, at least 1024 leaves a shard); any other value — 0 means
+  /// explicitly unsharded — is used as-is, clamped to the topology
+  /// height. Ignored in serial mode.
   std::uint32_t shard_level = kShardLevelAuto;
   /// Optional instrumentation hook (per-cycle counters, channel
   /// utilization; see engine/observer.hpp). Not owned.
@@ -109,6 +110,14 @@ struct OnlineRouterOptions {
   /// Never changes routing results.
   bool time_phases = false;
 };
+
+/// The automatic subtree shard depth for a parallel run on `threads` pool
+/// workers (0 = hardware concurrency) over a fat-tree of the given
+/// height: the smallest level giving at least 8 shards per pool
+/// participant (the workers plus the dispatching thread), capped at 6
+/// and at 1024 leaves per shard (level height - 10, but at least 1). From
+/// n = 2^16 up: 1 thread -> 4, 2 -> 5, 4 or more -> 6. 0 below height 2.
+std::uint32_t auto_shard_level(std::size_t threads, std::uint32_t height);
 
 /// Routes m on-line; every message is delivered by termination unless the
 /// result's gave_up flag is set. Deterministic given `rng`'s seed.

@@ -849,11 +849,11 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
 
   // Small cycles run the shard loop inline — same structure, same
   // results, no pool wakeup (late cycles shrink below the threshold as
-  // messages deliver).
+  // messages deliver). `work` estimates the band's stage-entry visits.
   const bool pooled = pool_ != nullptr && pool_->size() > 1;
-  auto dispatch = [&](std::uint32_t s_begin, std::uint32_t s_end) {
-    if (pooled && num_shards >= 2 &&
-        band_entries(s_begin, s_end) >= kMinParallelWork) {
+  auto dispatch = [&](std::uint32_t s_begin, std::uint32_t s_end,
+                      std::size_t work) {
+    if (pooled && num_shards >= 2 && work >= kMinParallelWork) {
       pool_->run_tasks(num_shards, [&](std::size_t sh) {
         run_band(shards_[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
       });
@@ -876,8 +876,9 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
     spine_par_before = ph_spine_par_;
   }
 
-  // Up phase: shard-parallel.
-  dispatch(0, spine_lo);
+  // Up phase: shard-parallel. Every contender is seeded on its first
+  // stage before the band starts, so the entry count is the band's work.
+  dispatch(0, spine_lo, band_entries(0, spine_lo));
 
   if (time_phases_) pt1 = PhaseClock::now();
 
@@ -947,8 +948,13 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
   if (time_phases_) pt2 = PhaseClock::now();
 
   // Down phase: shard-parallel; descent never leaves the subtree, so no
-  // outbox entries can appear.
-  dispatch(spine_hi, num_stages);
+  // outbox entries can appear. The lists hold only the entries that
+  // turned downward so far; each descends to its leaf, crossing one down
+  // stage after another unless it loses, so the band's work is weighted
+  // by its stage count (its entry count alone stays below the threshold
+  // even when the band carries most of a contended cycle's hops).
+  dispatch(spine_hi, num_stages,
+           band_entries(spine_hi, num_stages) * (num_stages - spine_hi));
 
   if (time_phases_) {
     const auto pt3 = PhaseClock::now();
@@ -964,6 +970,83 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
     st.losses = 0;
     st.hops = 0;
   }
+}
+
+/// Block-parallel stable compaction and reseed. Three pool batches:
+/// count each block's losers, scatter them to their stable rank (the
+/// prefix of the counts) in the double buffers while staging each reseed
+/// under its owning shard, then let every shard drain its own seeds, in
+/// block order, into its worklists and bucket counts — a channel's count
+/// is only ever written by the task of the shard that owns it. Seeds
+/// whose first channel lies outside every shard go to the global lists
+/// on the coordinating thread. Pending indices equal the serial
+/// compaction's, so everything keyed by them (sorted lotteries, the RLB
+/// hash, the adaptive stagger) is unchanged; worklist order was already
+/// unobservable (see the stage_list_ comment).
+template <typename ChanT, typename Compact>
+std::size_t CycleEngine::compact_pooled(const Compact& compact) {
+  const std::size_t pending = ce_.size();
+  const std::size_t num_shards = shards_.size();
+  const std::size_t slots = num_shards + 1;
+  // About four blocks per participant so stealing evens out clustered
+  // losers, and at least 1024 messages a block.
+  const std::size_t num_blocks = std::max<std::size_t>(
+      1, std::min((pool_->size() + 1) * 4, pending / 1024));
+  auto block_lo = [&](std::size_t b) { return pending * b / num_blocks; };
+  block_rank_.assign(num_blocks + 1, 0);
+  std::uint32_t* const rank = block_rank_.data();
+  const std::uint64_t* const ce = ce_.data();
+  pool_->run_tasks(num_blocks, [&](std::size_t b) {
+    std::uint32_t losers = 0;
+    for (std::size_t i = block_lo(b); i < block_lo(b + 1); ++i) {
+      const std::uint64_t v = ce[i];
+      losers += static_cast<std::uint32_t>(v) != (v >> 32) ? 1 : 0;
+    }
+    rank[b + 1] = losers;
+  });
+  for (std::size_t b = 0; b < num_blocks; ++b) rank[b + 1] += rank[b];
+  const std::size_t kept = rank[num_blocks];
+  ce_next_.resize(kept);
+  begin_next_.resize(kept);
+  first_chan_next_.resize(kept);
+  if (seed_stage_.size() < num_blocks * slots) {
+    seed_stage_.resize(num_blocks * slots);
+  }
+  const std::uint32_t* const shard_tbl = graph_.shard.data();
+  pool_->run_tasks(num_blocks, [&](std::size_t b) {
+    std::vector<std::uint64_t>* const staged = seed_stage_.data() + b * slots;
+    compact(block_lo(b), block_lo(b + 1), rank[b], ce_next_.data(),
+            begin_next_.data(), first_chan_next_.data(),
+            [&](std::uint32_t k, std::uint32_t fc) {
+              const std::uint32_t sh = shard_tbl[fc];
+              staged[sh == ChannelGraph::kNoShard ? num_shards : sh]
+                  .push_back(pack_entry(k, fc));
+            });
+  });
+  ce_.swap(ce_next_);
+  begin_.swap(begin_next_);
+  first_chan_.swap(first_chan_next_);
+
+  const auto* const stg = stage_table<ChanT>();
+  std::uint32_t* const bp = bucket_pos_.data();
+  auto drain = [&](std::size_t slot, std::vector<std::uint64_t>* lst,
+                   std::vector<std::uint32_t>* touch) {
+    for (std::size_t b = 0; b < num_blocks; ++b) {
+      std::vector<std::uint64_t>& seeds = seed_stage_[b * slots + slot];
+      for (const std::uint64_t e : seeds) {
+        const std::uint32_t fc = entry_chan(e);
+        const std::uint32_t fs = stg[fc];
+        if (bp[fc]++ == 0) touch[fs].push_back(fc);
+        lst[fs].push_back(e);
+      }
+      seeds.clear();
+    }
+  };
+  pool_->run_tasks(num_shards, [&](std::size_t sh) {
+    drain(sh, shards_[sh].stage_list.data(), shards_[sh].stage_touched.data());
+  });
+  drain(num_shards, stage_list_.data(), stage_touched_.data());
+  return kept;
 }
 
 /// Hops and occupancy are exactly what the stage sweep would account with
@@ -1034,7 +1117,7 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
   const bool lat_on =
       observer != nullptr && observer->wants_latency_samples();
   time_phases_ = opts_.time_phases;
-  ph_up_ = ph_spine_ = ph_spine_par_ = ph_down_ = 0.0;
+  ph_up_ = ph_spine_ = ph_spine_par_ = ph_down_ = ph_compact_ = 0.0;
   double ph_coord = 0.0;
   std::uint32_t next_id = 0;
   const auto* const stg = stage_table<ChanT>();
@@ -1049,11 +1132,10 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
   // same hoisting rule as the fused stage sweeps).
   const std::uint32_t* const shard_tbl =
       sharded_ ? graph_.shard.data() : nullptr;
-  auto seed_entry = [this, shard_tbl, g_bp = bucket_pos_.data(),
+  auto seed_entry = [this, shard_tbl, stg, g_bp = bucket_pos_.data(),
                      g_lst = stage_list_.data(),
-                     g_touch = stage_touched_.data()](
-                        std::uint32_t idx, std::uint32_t fc,
-                        std::uint32_t fs)
+                     g_touch = stage_touched_.data()](std::uint32_t idx,
+                                                      std::uint32_t fc)
   // Forced inline for the same reason as fused_stage: the surrounding
   // function is big enough that the inliner otherwise leaves this as an
   // out-of-line call on every injected/retried message.
@@ -1070,6 +1152,7 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
         touch = shards_[sh].stage_touched.data();
       }
     }
+    const std::uint32_t fs = stg[fc];
     if (g_bp[fc]++ == 0) touch[fs].push_back(fc);
     lst[fs].push_back(pack_entry(idx, fc));
   };
@@ -1116,7 +1199,7 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     double sweep_before = 0.0;
     if (time_phases_) {
       cyc_t0 = PhaseClock::now();
-      sweep_before = ph_up_ + ph_spine_ + ph_spine_par_ + ph_down_;
+      sweep_before = timed_sum();
     }
     if (lat_on) lat_samples_.clear();
     // Channel-state (carried) bookkeeping is consulted per cycle so a
@@ -1213,7 +1296,7 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
           }
           if (lat_on) inject_cycle_.push_back(cycle);
           ++contenders;
-          if (!sweep_free) seed_entry(idx, fc, stg[fc]);
+          if (!sweep_free) seed_entry(idx, fc);
           if (trace) {
             observer->on_message_event(
                 {MessageEventKind::Inject, id, cycle, fc});
@@ -1326,6 +1409,47 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     // retry-aware variant additionally decides each loser's fate — give
     // up (attempts/deadline exhausted), park (exponential backoff), or
     // reseed — and wakes parked messages whose delay has elapsed.
+    //
+    // Without a retry policy every loser is kept, so compaction is a
+    // stable partition by the delivered test, and one body runs it over a
+    // block [lo, hi) of pending messages: losers go to output ranks from
+    // `rank` on and each is handed to `seed` for next cycle's worklists;
+    // returns the next free rank. Serial runs (and every traced or
+    // latency-sampling run) execute it as a single block, in place, that
+    // seeds directly; sharded pooled cycles run it block-parallel
+    // (compact_pooled). Ranks, and so pending indices, are the same
+    // either way.
+    auto compact = [&](std::size_t lo, std::size_t hi, std::size_t rank,
+                       std::uint64_t* ce_out, std::uint32_t* bg_out,
+                       std::uint32_t* fc_out, auto&& seed) {
+      const std::uint64_t* const ce = ce_.data();
+      const std::uint32_t* const bg = begin_.data();
+      const std::uint32_t* const fcs = first_chan_.data();
+      std::uint32_t* const ids = id_.data();
+      std::uint32_t* const ic = inject_cycle_.data();
+      for (std::size_t i = lo; i < hi; ++i) {
+        const std::uint64_t v = ce[i];
+        if (static_cast<std::uint32_t>(v) == (v >> 32)) {
+          // Latency counts delivery cycles from injection inclusive;
+          // ideal is 1 in the lossy modes (an uncontended path traverses
+          // in one cycle).
+          if (lat_on) lat_samples_.push_back({cycle - ic[i] + 1, 1});
+        } else {
+          const std::uint32_t b = bg[i];
+          const std::uint32_t fc = fcs[i];
+          // Rewind the cursor to the first hop; the end half is
+          // untouched.
+          ce_out[rank] = (v & 0xffffffff00000000ull) | b;
+          bg_out[rank] = b;
+          if (trace) ids[rank] = ids[i];  // ids are only read when tracing
+          fc_out[rank] = fc;
+          if (lat_on) ic[rank] = ic[i];
+          seed(static_cast<std::uint32_t>(rank), fc);
+          ++rank;
+        }
+      }
+      return rank;
+    };
     std::size_t kept = 0;
     {
       const std::size_t pending = ce_.size();
@@ -1335,29 +1459,15 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
       std::uint32_t* const fcs = first_chan_.data();
       std::uint32_t* const ic = inject_cycle_.data();
       if (!retry_on) {
-        for (std::size_t i = 0; i < pending; ++i) {
-          const std::uint64_t v = ce[i];
-          if (static_cast<std::uint32_t>(v) == (v >> 32)) {
-            ++delivered_now;
-            // Latency counts delivery cycles from injection inclusive;
-            // ideal is 1 in the lossy modes (an uncontended path
-            // traverses in one cycle).
-            if (lat_on) lat_samples_.push_back({cycle - ic[i] + 1, 1});
-          } else {
-            const std::uint32_t b = bg[i];
-            const std::uint32_t fc = fcs[i];
-            const std::uint32_t fs = stg[fc];
-            // Rewind the cursor to the first hop; the end half is
-            // untouched.
-            ce[kept] = (v & 0xffffffff00000000ull) | b;
-            bg[kept] = b;
-            if (trace) ids[kept] = ids[i];  // ids are only read when tracing
-            fcs[kept] = fc;
-            if (lat_on) ic[kept] = ic[i];
-            seed_entry(static_cast<std::uint32_t>(kept), fc, fs);
-            ++kept;
-          }
+        if (sharded_ && pooled && !trace && !lat_on &&
+            pending >= kMinParallelWork) {
+          const auto ct0 = time_phases_ ? PhaseClock::now() : cyc_t0;
+          kept = compact_pooled<ChanT>(compact);
+          if (time_phases_) ph_compact_ += phase_delta(ct0, PhaseClock::now());
+        } else {
+          kept = compact(0, pending, 0, ce, bg, fcs, seed_entry);
         }
+        delivered_now += static_cast<std::uint32_t>(pending - kept);
         contenders = kept;
       } else {
         std::uint32_t* const att = attempts_.data();
@@ -1440,8 +1550,7 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
           if (next_wake == cycle + 1) {
             att[kept] = att[i] + 1;
             wk[kept] = next_wake;
-            const std::uint32_t fs = stg[fc];
-            seed_entry(static_cast<std::uint32_t>(kept), fc, fs);
+            seed_entry(static_cast<std::uint32_t>(kept), fc);
             ++contenders;
           } else {
             att[kept] = att[i];
@@ -1493,13 +1602,12 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     }
 
     if (time_phases_) {
-      // Everything this cycle spent outside the stage sweeps — injection,
-      // compaction, fault bookkeeping, observer callbacks — is serial
-      // coordination. Clamped at zero against clock jitter.
+      // Everything this cycle spent outside the stage sweeps and the
+      // pooled compaction — injection, serial compaction, fault
+      // bookkeeping, observer callbacks — is serial coordination. Clamped
+      // at zero against clock jitter.
       const double cyc = phase_delta(cyc_t0, PhaseClock::now());
-      const double sweep =
-          (ph_up_ + ph_spine_ + ph_spine_par_ + ph_down_) - sweep_before;
-      ph_coord += std::max(0.0, cyc - sweep);
+      ph_coord += std::max(0.0, cyc - (timed_sum() - sweep_before));
     }
 
     if (opts_.max_cycles != 0 && result.cycles >= opts_.max_cycles &&
@@ -1520,6 +1628,7 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     result.phases.spine_seconds = ph_spine_;
     result.phases.spine_parallel_seconds = ph_spine_par_;
     result.phases.down_seconds = ph_down_;
+    result.phases.compact_seconds = ph_compact_;
     result.phases.coord_seconds = ph_coord;
     result.phases.timed_cycles = result.cycles;
   }

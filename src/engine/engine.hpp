@@ -295,6 +295,13 @@ class CycleEngine {
   /// or arbitration — no channel can reject.
   template <typename ChanT>
   void tally_sweep(const ChanT* chan, std::uint64_t& cycle_hops);
+  /// Block-parallel compaction and reseed of a sharded, pooled cycle
+  /// with no retry policy, tracing or latency sampling (see engine.cpp).
+  /// Runs `compact(lo, hi, rank, ce_out, begin_out, first_out, seed)`,
+  /// the cycle loop's one compaction body, once per block; returns the
+  /// number of messages kept.
+  template <typename ChanT, typename Compact>
+  std::size_t compact_pooled(const Compact& compact);
   EngineResult run_lossy(BatchFeed& feed, EngineObserver* observer);
   template <typename ChanT>
   EngineResult run_lossy_t(std::vector<ChanT>& chan_buf, BatchFeed& feed,
@@ -365,6 +372,21 @@ class CycleEngine {
   /// First hop of each live message, cached at injection so the per-cycle
   /// reseed never chases the (cold) CSR buffer. Compacted with ce_.
   std::vector<std::uint32_t> first_chan_;
+  /// Scatter targets of the block-parallel compaction (sharded, pooled
+  /// cycles only): kept messages land here at their stable rank and the
+  /// pairs swap with ce_/begin_/first_chan_, because in-place stable
+  /// compaction would let one block overwrite words another block has
+  /// not read yet.
+  std::vector<std::uint64_t> ce_next_;
+  std::vector<std::uint32_t> begin_next_;
+  std::vector<std::uint32_t> first_chan_next_;
+  /// Block-parallel compaction scratch: block b's first output rank
+  /// (entry b, after a prefix scan of the per-block loser counts; entry
+  /// num_blocks holds the total), and its reseeds staged per owning
+  /// shard (slot b * (num_shards + 1) + shard, the last slot of each
+  /// block for first channels outside every shard).
+  std::vector<std::uint32_t> block_rank_;
+  std::vector<std::vector<std::uint64_t>> seed_stage_;
   /// Worklists: list s holds the live messages whose next channel lies in
   /// stage s, packed as (msg << 32) | channel so bucket building never
   /// re-derives the channel through the message table and the CSR buffer.
@@ -438,6 +460,12 @@ class CycleEngine {
   double ph_spine_ = 0.0;
   double ph_spine_par_ = 0.0;  ///< spine stages resolved on the pool
   double ph_down_ = 0.0;
+  double ph_compact_ = 0.0;  ///< block-parallel compaction + reseed
+  /// Sum of the timed phase accumulators: the cycle loop charges its
+  /// remainder (wall time minus the growth of this sum) to coord.
+  double timed_sum() const {
+    return ph_up_ + ph_spine_ + ph_spine_par_ + ph_down_ + ph_compact_;
+  }
 };
 
 }  // namespace ft

@@ -14,18 +14,22 @@ namespace ft {
 /// spine stages resolved on the thread pool (EngineOptions::
 /// parallel_spine); in the non-sharded loop, stages resolved on the
 /// thread pool count as `up` and serial stages as `spine`; FIFO rounds
-/// count pooled range processing as `up`. `coord` is everything else in
-/// the cycle loop — injection, compaction, fault bookkeeping, observer
-/// callbacks — which is serial in every mode.
+/// count pooled range processing as `up`. `compact` is the sharded
+/// executor's block-parallel compaction and reseed of heavy cycles.
+/// `coord` is everything else in the cycle loop — injection, serial
+/// compaction, fault bookkeeping, observer callbacks — which is serial in
+/// every mode.
 struct EnginePhaseProfile {
   double up_seconds = 0.0;
   double spine_seconds = 0.0;
   double spine_parallel_seconds = 0.0;
   double down_seconds = 0.0;
+  double compact_seconds = 0.0;
   double coord_seconds = 0.0;
   std::uint64_t timed_cycles = 0;  ///< cycles covered (0 = timing was off)
   double parallel_seconds() const {
-    return up_seconds + spine_parallel_seconds + down_seconds;
+    return up_seconds + spine_parallel_seconds + down_seconds +
+           compact_seconds;
   }
   double serial_seconds() const { return spine_seconds + coord_seconds; }
   double total_seconds() const {

@@ -120,6 +120,7 @@ JsonValue phase_profile_json(const EnginePhaseProfile& p) {
   out["spine_seconds"] = p.spine_seconds;
   out["spine_parallel_seconds"] = p.spine_parallel_seconds;
   out["down_seconds"] = p.down_seconds;
+  out["compact_seconds"] = p.compact_seconds;
   out["coord_seconds"] = p.coord_seconds;
   out["timed_cycles"] = p.timed_cycles;
   out["parallel_seconds"] = p.parallel_seconds();

@@ -23,9 +23,9 @@ namespace ft {
 
 /// The "amdahl" section of a /2 run report: the engine's measured
 /// wall-clock phase decomposition plus the derived serial fraction.
-/// {"up_seconds", "spine_seconds", "down_seconds", "coord_seconds",
-///  "timed_cycles", "parallel_seconds", "serial_seconds",
-///  "serial_fraction"}.
+/// {"up_seconds", "spine_seconds", "spine_parallel_seconds",
+///  "down_seconds", "compact_seconds", "coord_seconds", "timed_cycles",
+///  "parallel_seconds", "serial_seconds", "serial_fraction"}.
 JsonValue phase_profile_json(const EnginePhaseProfile& p);
 
 /// Short git revision baked in at configure time (FT_GIT_SHA), "unknown"

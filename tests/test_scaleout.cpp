@@ -692,6 +692,88 @@ TEST(Scaleout, WidePathShardedTraceMatchesSerial) {
   }
 }
 
+// --- Pooled compaction and reseed ----------------------------------------
+
+/// Hashes every cycle's carried array into one order-sensitive value and
+/// asks for nothing else, so the engine may still take its pooled
+/// compaction path (tracing and latency sampling force the serial one).
+class CarriedHash final : public EngineObserver {
+ public:
+  void on_cycle(const CycleSnapshot& snap) override {
+    mix(snap.cycle);
+    for (const std::uint32_t c : *snap.carried) mix(c);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void mix(std::uint64_t v) { h_ = (h_ ^ v) * 1099511628211ull; }
+  std::uint64_t h_ = 14695981039346656037ull;
+};
+
+// A contended sharded run compacts and reseeds its live messages
+// block-parallel on heavy cycles (about 7.5k live messages per cycle over
+// ~75 cycles here) and sends the down band to the pool on its work. The
+// kept messages' ranks are pending indices, which the sorted lotteries,
+// the RLB wire hash and the adaptive stagger all read, so one misplaced
+// rank shows in the counters. Sharded runs at shallow, middle and the
+// deepest auto shard level, on 2 and 3 pool workers, with no observer
+// and with a carried-only one, must match the serial run under every
+// policy (adaptive takes the serial retry-aware compaction). A run costs
+// ~50 ms, so instead of the full 4 x 3 x 2 x 2 product each policy runs
+// one configuration per shard level: combination (p + l) mod 4 of
+// {2, 3} threads x {no observer, carried}. Every (level, threads,
+// observer) triple runs once, and every policy meets both thread counts
+// and both observer modes.
+TEST(Scaleout, PooledCompactionMatchesSerial) {
+  const std::uint32_t n = 1u << 14;
+  FatTreeTopology topo(n);
+  const auto caps = CapacityProfile::universal(topo, 128);
+  Rng gen(53);
+  const auto m = random_permutation_traffic(n, gen);
+  const PathSet paths = fat_tree_path_set(topo, m);
+
+  const RoutingPolicy policies[] = {
+      RoutingPolicy::ObliviousRandom, RoutingPolicy::DeterministicDmod,
+      RoutingPolicy::RandomLoadBalanced, RoutingPolicy::AdaptiveOccupancy};
+  const std::uint32_t levels[] = {1, 3, 6};
+  for (std::size_t p = 0; p < 4; ++p) {
+    SCOPED_TRACE("policy " + std::to_string(p));
+    EngineOptions serial_opts;
+    serial_opts.seed = 1414;
+    serial_opts.policy = policies[p];
+    CycleEngine serial_engine(fat_tree_channel_graph(topo, caps),
+                              serial_opts);
+    CarriedHash serial_carried;
+    const EngineResult serial = serial_engine.run(paths, &serial_carried);
+    EXPECT_EQ(serial.delivered, n);
+    EXPECT_GT(serial.cycles, 50u);
+
+    for (std::size_t l = 0; l < 3; ++l) {
+      const std::size_t combo = (p + l) % 4;
+      const std::size_t threads = 2 + (combo & 1);
+      const bool observed = combo >= 2;
+      SCOPED_TRACE("shard_level " + std::to_string(levels[l]) + " threads " +
+                   std::to_string(threads) + " observed " +
+                   std::to_string(observed));
+      EngineOptions opts = serial_opts;
+      opts.parallel = true;
+      opts.threads = threads;
+      opts.time_phases = true;
+      CycleEngine engine(fat_tree_channel_graph(topo, caps, levels[l]), opts);
+      CarriedHash carried;
+      const EngineResult got =
+          engine.run(paths, observed ? &carried : nullptr);
+      expect_same_result(serial, got, "sharded run");
+      if (observed) {
+        EXPECT_EQ(serial_carried.value(), carried.value());
+      }
+      if (policies[p] != RoutingPolicy::AdaptiveOccupancy) {
+        EXPECT_GT(got.phases.compact_seconds, 0.0);  // the pooled path ran
+      }
+    }
+  }
+}
+
 // --- Sweep-free tally ------------------------------------------------------
 
 /// Independent reference for a Tally replay: per scheduled cycle, a
