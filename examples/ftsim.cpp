@@ -76,8 +76,7 @@ void usage() {
       "                 pool (T=0 or omitted = hardware concurrency);\n"
       "                 results are identical to serial runs\n"
       "  --shard-level=K  subtree shard depth for --parallel (2^K shards;\n"
-      "                 0 = unsharded). Precedence: this flag, then the\n"
-      "                 FT_SHARD_LEVEL environment variable, then the\n"
+      "                 0 = unsharded, which runs serially). Default: the\n"
       "                 auto rule: >= 8 shards per pool participant\n"
       "                 (T + 1), at most level 6 and >= 1024 leaves\n"
       "                 per shard\n"

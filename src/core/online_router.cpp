@@ -1,7 +1,6 @@
 #include "core/online_router.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <thread>
 
 #include "core/load.hpp"
@@ -36,26 +35,15 @@ class NonSelfStream final : public MessageStream {
   std::uint32_t self_ = 0;
 };
 
-// Shard depth for the engine's subtree-sharded parallel mode. Precedence:
-// an explicit OnlineRouterOptions::shard_level wins, then the
-// FT_SHARD_LEVEL environment variable (experiments sweep it without
-// recompiling), then auto_shard_level. Always capped by the topology:
-// the spine must stay above the leaves.
+// Shard depth for the engine's subtree-sharded parallel mode: an explicit
+// OnlineRouterOptions::shard_level, else auto_shard_level. Always capped
+// by the topology: the spine must stay above the leaves.
 std::uint32_t pick_shard_level(const FatTreeTopology& topo,
                                const OnlineRouterOptions& opts) {
   if (!opts.parallel || topo.height() < 2) return 0;
   const std::uint32_t cap = topo.height() - 1;
   if (opts.shard_level != kShardLevelAuto) {
     return std::min(opts.shard_level, cap);
-  }
-  if (const char* env = std::getenv("FT_SHARD_LEVEL")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0') {
-      return std::min(static_cast<std::uint32_t>(
-                          std::min<unsigned long>(v, 0xfffffffful)),
-                      cap);
-    }
   }
   return auto_shard_level(opts.threads, topo.height());
 }

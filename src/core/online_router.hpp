@@ -61,8 +61,8 @@ struct OnlineRoutingResult {
   std::vector<std::uint32_t> delivered_per_cycle;
 };
 
-/// Sentinel for OnlineRouterOptions::shard_level: defer to FT_SHARD_LEVEL
-/// or the measured heuristic.
+/// Sentinel for OnlineRouterOptions::shard_level: defer to the measured
+/// heuristic (auto_shard_level).
 inline constexpr std::uint32_t kShardLevelAuto = 0xffffffffu;
 
 struct OnlineRouterOptions {
@@ -80,21 +80,20 @@ struct OnlineRouterOptions {
   /// floor(alpha * c) messages but at least 1 (alpha = 1 models the ideal
   /// concentrator; 3/4 models the partial concentrators of Section IV).
   double alpha = 1.0;
-  /// Resolve contention across independent channels on a thread pool;
-  /// results are identical to the serial mode.
+  /// Route on the subtree-sharded executor's thread pool (shard_level 0
+  /// runs serially); results are identical to the serial mode.
   bool parallel = false;
   /// Worker threads for parallel mode (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Sharded executor: resolve heavy spine stages on the thread pool too
+  /// Sharded executor: sweep heavy spine stages on the thread pool too
   /// (see EngineOptions::parallel_spine). Results are identical either
   /// way; off keeps the serial-spine Amdahl reference measurable.
   bool parallel_spine = true;
   /// Subtree shard depth for the parallel executor. kShardLevelAuto
-  /// defers to the FT_SHARD_LEVEL environment variable if set, else to
-  /// auto_shard_level (at least 8 shards per pool participant, at most
-  /// level 6, at least 1024 leaves a shard); any other value — 0 means
-  /// explicitly unsharded — is used as-is, clamped to the topology
-  /// height. Ignored in serial mode.
+  /// defers to auto_shard_level (at least 8 shards per pool participant,
+  /// at most level 6, at least 1024 leaves a shard); any other value — 0
+  /// means explicitly unsharded, which runs serially — is used as-is,
+  /// clamped to the topology height. Ignored in serial mode.
   std::uint32_t shard_level = kShardLevelAuto;
   /// Optional instrumentation hook (per-cycle counters, channel
   /// utilization; see engine/observer.hpp). Not owned.

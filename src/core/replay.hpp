@@ -28,11 +28,6 @@
 namespace ft {
 
 struct ReplayOptions {
-  /// Resolve channels on a thread pool; identical results to serial mode.
-  /// Only a faulted replay has stage sweeps to spread; a fault-free one
-  /// is a single serial pass either way.
-  bool parallel = false;
-  std::size_t threads = 0;
   /// Optional transient-fault plan (not owned). A down channel rejects
   /// its scheduled messages, which then retry in later cycles — the
   /// replay measures how a precomputed schedule degrades under churn
@@ -42,7 +37,8 @@ struct ReplayOptions {
   /// Per-message retry policy for faulted replays (default: retry every
   /// cycle forever, the classic behavior).
   RetryPolicy retry;
-  /// Time parallel sweeps vs the serial band (ReplayResult::phases).
+  /// Time the cycle loop's phases (ReplayResult::phases). A replay runs
+  /// on the serial executor, so its sweep counts as the serial band.
   bool time_phases = false;
 };
 

@@ -130,15 +130,16 @@ struct ChannelGraph {
   std::uint32_t num_levels = 1;
 
   /// Subtree-shard partition for the parallel lossy engine (empty when the
-  /// builder did not request sharding). shard[c] names the partition that
-  /// owns channel c, or kNoShard for "spine" channels above the shard
-  /// roots, whose arbitration crosses shards and runs serially. The stage
-  /// axis splits into three bands: stages [0, spine_stage_lo) touch only
-  /// sharded channels on the way up, [spine_stage_lo, spine_stage_hi) is
-  /// the spine, and [spine_stage_hi, num_stages) only sharded channels on
-  /// the way down. A message's shard can change at most once, inside the
-  /// spine band — the invariant the sharded executor relies on (see
-  /// DESIGN.md "Scale-out").
+  /// builder did not request sharding). shard[c] names the shard that owns
+  /// channel c: its worklists hold c's contenders and its sweep runs c's
+  /// lottery. kNoShard marks a channel no path may use (the fat-tree
+  /// root's external pair). The stage axis splits into three bands: the
+  /// up band [0, spine_stage_lo), the spine [spine_stage_lo,
+  /// spine_stage_hi), whose channels the builder spreads over the shards,
+  /// and the down band [spine_stage_hi, num_stages). A message can move
+  /// to another shard only on a hop out of the up band's last stage or
+  /// out of a spine stage — the invariant the sharded executor's segment
+  /// loop relies on (see DESIGN.md "Scale-out").
   std::vector<std::uint32_t> shard;
   std::uint32_t num_shards = 0;
   std::uint32_t spine_stage_lo = 0;

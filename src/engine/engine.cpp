@@ -22,9 +22,10 @@ std::uint64_t arbitration_seed(std::uint64_t seed, std::uint32_t cycle,
   return sm.next();
 }
 
-/// Below this many contenders in a stage the arbitration is resolved
-/// inline: waking the pool costs more than the work itself. Stages shrink
-/// as messages deliver, so late cycles drop back to serial automatically.
+/// Below this much work a segment of the sharded sweep (or a cycle's
+/// compaction) runs inline: waking the pool costs more than the work
+/// itself. Worklists shrink as messages deliver, so late cycles drop back
+/// to inline sweeps automatically.
 constexpr std::size_t kMinParallelWork = 4096;
 
 /// Restores ascending pending order before a bucket's lottery. Buckets
@@ -50,9 +51,8 @@ inline void sort_small(std::uint32_t* b, std::size_t n) {
 /// indices — in a bit-per-message scratch and reading the bits back in
 /// order: O(n + span/64) with word-at-a-time constants, against
 /// std::sort's n log n comparison sort. `bits` must be all-zero on entry
-/// and is left all-zero: extraction clears each word it reads. Serial
-/// over-loop only (the scratch is shared, so concurrent arbitration
-/// keeps using sort_small).
+/// and is left all-zero: extraction clears each word it reads. Each
+/// sweep owns its scratch (the serial executor's, or one shard's).
 inline void sort_by_bitmap(std::uint64_t* bits, std::uint32_t* b,
                            std::uint32_t n) {
   std::uint32_t wmin = 0xffffffffu;
@@ -97,7 +97,7 @@ inline bool wire_selecting(RoutingPolicy pol) {
 
 /// Wire-claim scratch for the wire-selecting disciplines: a flag per wire
 /// plus the claimed-wire list that re-zeroes it. thread_local because
-/// sharded and spine-parallel arbitration run buckets on pool workers.
+/// shard sweeps run on pool workers.
 struct WireClaims {
   std::vector<std::uint8_t> taken;
   std::vector<std::uint32_t> claimed;
@@ -322,13 +322,14 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
       stage16_[c] = static_cast<std::uint16_t>(graph_.stage[c]);
     }
   }
-  if (opts_.parallel) {
+  // Subtree sharding is the lossy/tally cycle loop's only parallel
+  // executor; without a shard partition that loop runs serially. FIFO
+  // mode has its own channel-range parallelism.
+  const bool fifo = opts_.contention == ContentionPolicy::Fifo;
+  sharded_ = opts_.parallel && graph_.num_shards > 1 && !fifo;
+  if (sharded_ || (opts_.parallel && fifo)) {
     pool_ = std::make_unique<ThreadPool>(opts_.threads);
   }
-  // Subtree sharding is an execution strategy for the lossy/tally cycle
-  // loop only; FIFO mode has its own channel-range parallelism.
-  sharded_ = opts_.parallel && graph_.num_shards > 1 &&
-             opts_.contention != ContentionPolicy::Fifo;
   if (sharded_) {
     FT_CHECK_MSG(graph_.shard.size() == num_channels,
                  "shard table must cover every channel");
@@ -339,16 +340,12 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
       if (graph_.capacity[c] == 0) continue;
       const std::uint32_t sh = graph_.shard[c];
       if (sh == ChannelGraph::kNoShard) {
-        const bool in_spine = graph_.stage[c] >= graph_.spine_stage_lo &&
-                              graph_.stage[c] < graph_.spine_stage_hi;
-        if (!in_spine) {
-          // A channel outside both the shard partition and the spine band
-          // (the fat-tree root's external-interface pair) has no home in
-          // the sharded executor. No internal path uses such channels;
-          // poisoning the validation table turns any path that tries into
-          // an injection-time abort instead of silent corruption.
-          check_tbl_[c] = 0;
-        }
+        // A channel outside the shard partition (the fat-tree root's
+        // external-interface pair) has no home in the sharded executor.
+        // No internal path uses such channels; poisoning the validation
+        // table turns any path that tries into an injection-time abort
+        // instead of silent corruption.
+        check_tbl_[c] = 0;
       } else {
         FT_CHECK_MSG(sh < graph_.num_shards, "shard id out of range");
       }
@@ -385,11 +382,6 @@ EngineResult CycleEngine::run(const PathSet& paths, EngineObserver* observer) {
   return run_lossy(feed, observer);
 }
 
-EngineResult CycleEngine::run(const std::vector<EnginePath>& paths,
-                              EngineObserver* observer) {
-  return run(PathSet::from_paths(paths), observer);
-}
-
 EngineResult CycleEngine::run_stream(MessageSource& source,
                                      EngineObserver* observer) {
   if (opts_.contention == ContentionPolicy::Fifo) {
@@ -422,191 +414,6 @@ EngineResult CycleEngine::run_batched(const std::vector<PathSet>& batches,
   for (const PathSet& b : batches) ptrs.push_back(&b);
   VectorFeed feed(ptrs.data(), ptrs.size());
   return run_lossy(feed, observer);
-}
-
-EngineResult CycleEngine::run_batched(
-    const std::vector<std::vector<EnginePath>>& batches,
-    EngineObserver* observer) {
-  std::vector<PathSet> sets;
-  sets.reserve(batches.size());
-  for (const auto& b : batches) sets.push_back(PathSet::from_paths(b));
-  return run_batched(sets, observer);
-}
-
-/// Lays one stage's contenders out in CSR form: bucket j (channel
-/// stage_touched_[stage][j]) becomes arena_[bucket_off_[j] ..
-/// bucket_off_[j+1]). Contender counts were accumulated when the entries
-/// were forwarded, so this is one offset scan plus one fill sweep.
-void CycleEngine::build_buckets(const std::vector<std::uint64_t>& list,
-                                std::uint32_t stage) {
-  const std::vector<std::uint32_t>& touched = stage_touched_[stage];
-  bucket_off_.resize(touched.size() + 1);
-  std::uint32_t total = 0;
-  for (std::size_t j = 0; j < touched.size(); ++j) {
-    bucket_off_[j] = total;
-    const std::uint32_t c = touched[j];
-    const std::uint32_t count = bucket_pos_[c];
-    bucket_pos_[c] = total;  // becomes the fill cursor for the sweep
-    total += count;
-  }
-  bucket_off_[touched.size()] = total;
-  arena_.resize(total);
-  std::uint32_t* const bp = bucket_pos_.data();
-  std::uint32_t* const ar = arena_.data();
-  for (const std::uint64_t e : list) {
-    ar[bp[entry_chan(e)]++] = entry_msg(e);
-  }
-}
-
-template <typename ChanT>
-void CycleEngine::arbitrate_bucket(const ChanT* chan, std::uint32_t cycle,
-                                   std::uint32_t c, std::size_t bucket) {
-  std::uint32_t* b = arena_.data() + bucket_off_[bucket];
-  const std::size_t size = bucket_off_[bucket + 1] - bucket_off_[bucket];
-  const std::uint64_t limit = active_limit_[c];
-  if (size > limit) {
-    // The pinned arbitration lottery saw contenders in ascending pending
-    // index (the old engine scanned messages in order); worklist
-    // forwarding scrambles that, so restore the exact sequence first.
-    // Under-limit buckets skip this: with no lottery, order is invisible.
-    sort_small(b, size);
-    if (wire_selecting(opts_.policy)) {
-      // Wire-selecting disciplines: the winner count can fall short of
-      // the limit, so it is recorded for the serial merge (disjoint
-      // slots, one per bucket — workers never share).
-      const std::uint32_t w =
-          select_policy_winners(opts_.policy, b, size, limit, opts_.seed,
-                                cycle, c, ce_.data(), chan);
-      bucket_winners_[bucket] = w;
-      for (std::size_t k = 0; k < w; ++k) ++ce_[b[k]];
-      return;
-    }
-    Rng arb(arbitration_seed(opts_.seed, cycle, c));
-    // Truncated Fisher–Yates: the full backward shuffle finalizes the
-    // loser block [limit, size) with its first size-limit draws — every
-    // later draw only permutes the winner block [0, limit) — so stopping
-    // there keeps the kept/killed partition bit-identical while skipping
-    // O(limit) tail work. Losers land in lottery order rather than index
-    // order, which nothing observable depends on (see DESIGN.md, "Engine
-    // hot path").
-    for (std::size_t i = size; i > limit; --i) {
-      const std::size_t j = arb.below(i);
-      std::swap(b[i - 1], b[j]);
-    }
-    // Losers need no write at all: their cursor simply stops here, short
-    // of end, and they sit in the loser block b[limit..size), which the
-    // serial merge in run_stage_parallel never walks. The only state a
-    // worker mutates is its own bucket's slice of the arena and the
-    // packed ce_ words of that bucket's messages — channels of one stage
-    // are disjoint, so workers never share either.
-    for (std::size_t k = 0; k < limit; ++k) ++ce_[b[k]];
-  } else {
-    for (std::size_t k = 0; k < size; ++k) ++ce_[b[k]];
-  }
-}
-
-template <typename ChanT>
-#if defined(__GNUC__) && !defined(__clang__)
-// Same unit-growth inlining rationale as run_stage_serial: the
-// forward pass pushes one worklist entry per surviving hop.
-__attribute__((flatten))
-#endif
-void CycleEngine::run_stage_parallel(const ChanT* chan, std::uint32_t cycle,
-                                     std::uint32_t stage,
-                                     std::uint64_t& cycle_losses,
-                                     std::uint64_t& cycle_hops) {
-  build_buckets(stage_list_[stage], stage);
-  std::vector<std::uint32_t>& touched = stage_touched_[stage];
-  const std::size_t num_buckets = touched.size();
-  const std::size_t contenders = arena_.size();
-  const RoutingPolicy pol = opts_.policy;
-  const bool wire_sel = wire_selecting(pol);
-  if (wire_sel) bucket_winners_.resize(num_buckets);
-
-  if (num_buckets >= 2) {
-    // Channels of one stage are independent (no path visits two), so
-    // workers own disjoint messages and cursors. Chunks are cut by
-    // contender mass — free off the CSR offsets — so one giant bucket
-    // does not serialize the stage; the pool's work-stealing batch mode
-    // rebalances whatever mass estimation got wrong (a chunk's lottery
-    // cost depends on how many of its buckets are over limit, which the
-    // offsets alone cannot see).
-    const std::size_t workers = std::min(pool_->size() + 1, num_buckets);
-    const std::size_t target =
-        std::max<std::size_t>(1, contenders / (workers * 4));
-    chunk_bounds_.clear();
-    chunk_bounds_.push_back(0);
-    std::size_t mass = 0;
-    for (std::size_t j = 0; j + 1 < num_buckets; ++j) {
-      mass += bucket_off_[j + 1] - bucket_off_[j];
-      if (mass >= target) {
-        chunk_bounds_.push_back(j + 1);
-        mass = 0;
-      }
-    }
-    chunk_bounds_.push_back(num_buckets);
-    const std::size_t num_chunks = chunk_bounds_.size() - 1;
-    pool_->run_tasks(num_chunks, [&](std::size_t t) {
-      for (std::size_t j = chunk_bounds_[t]; j < chunk_bounds_[t + 1]; ++j) {
-        arbitrate_bucket(chan, cycle, touched[j], j);
-      }
-    });
-  } else {
-    for (std::size_t j = 0; j < num_buckets; ++j) {
-      arbitrate_bucket(chan, cycle, touched[j], j);
-    }
-  }
-
-  // Deterministic channel-ordered merge: one serial pass walks the
-  // buckets in worklist (touched) order and, per bucket, its winner
-  // block arena_[off .. off + winners) — the lottery left exactly the
-  // survivors there, so the positional block IS each worker's buffered
-  // outcome and no kill flags are needed. Accounting (occupancy for
-  // telemetry, loss/hop totals) and survivor forwarding both happen
-  // here, on the coordinating thread, in an order independent of which
-  // worker resolved which bucket — that is what keeps traces and
-  // telemetry bit-identical to the serial executor. Strictly increasing
-  // stages along every path guarantee the target worklist has not been
-  // processed yet, so each message is bucketed exactly once per cycle
-  // per hop it wins. Members are hoisted into locals for the same
-  // reason as in fused_stage.
-  std::uint32_t* const bp = bucket_pos_.data();
-  const auto* const stg = stage_table<ChanT>();
-  auto* const lst = stage_list_.data();
-  auto* const touch = stage_touched_.data();
-  const std::uint64_t* const ce = ce_.data();
-  const std::uint32_t* const ar = arena_.data();
-  const bool adaptive = pol == RoutingPolicy::AdaptiveOccupancy;
-  for (std::size_t j = 0; j < num_buckets; ++j) {
-    const std::uint32_t c = touched[j];
-    const std::uint32_t off = bucket_off_[j];
-    const std::uint64_t size = bucket_off_[j + 1] - off;
-    const std::uint64_t lim_c = active_limit_[c];
-    std::uint64_t winners = std::min<std::uint64_t>(size, lim_c);
-    if (size > lim_c) {
-      // Over-limit: the wire-selecting winner count was recorded by the
-      // worker; adaptive feedback marks the pressure here, on the serial
-      // merge, exactly where the serial executor would.
-      if (wire_sel) winners = bucket_winners_[j];
-      if (adaptive) over_pressure_[c] = 1;
-    }
-    if (want_carried_) carried_[c] = static_cast<std::uint32_t>(winners);
-    cycle_losses += size - winners;
-    cycle_hops += winners;
-    for (std::uint64_t k = 0; k < winners; ++k) {
-      const std::uint32_t i = ar[off + k];
-      const std::uint64_t v = ce[i];  // cursor already advanced by the lottery
-      if (static_cast<std::uint32_t>(v) < (v >> 32)) {
-        const std::uint32_t nc = chan[static_cast<std::uint32_t>(v)];
-        const std::uint32_t ns = stg[nc];
-        if (bp[nc]++ == 0) touch[ns].push_back(nc);
-        lst[ns].push_back(pack_entry(i, nc));
-      }
-    }
-  }
-  for (const std::uint32_t c : touched) bp[c] = 0;  // sticky zeros
-  touched.clear();
-  stage_list_[stage].clear();
 }
 
 /// The lossy stage sweep of every executor: bucket building,
@@ -698,9 +505,10 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
   for (const OverBucket& ob : over) {
     std::uint32_t* b = ar + ob.off;
     const std::uint64_t limit = lim[ob.chan];
-    // Restore ascending pending order for the pinned lottery, then the
-    // truncated Fisher–Yates finalizes the loser block (see
-    // arbitrate_bucket for the full argument).
+    // The pinned arbitration lottery sees contenders in ascending pending
+    // index (the original engine scanned messages in order); worklist
+    // forwarding scrambles that, so restore the exact sequence first.
+    // Under-limit buckets skip this: with no lottery, order is invisible.
     if (ob.count > 64) {
       sort_by_bitmap(bits, b, ob.count);
     } else {
@@ -711,19 +519,25 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
       winners = select_policy_winners(pol, b, ob.count, limit, opts_.seed,
                                       cycle, ob.chan, ce, chan);
     } else {
-      // Adaptive pressure marks are per-channel; channels of one stage
-      // are disjoint across shards, so a worker's write never races.
+      // Adaptive pressure marks are per-channel, and only the channel's
+      // owning shard sweeps it, so a worker's write never races.
       if (adaptive) over_pressure_[ob.chan] = 1;
       Rng arb(arbitration_seed(opts_.seed, cycle, ob.chan));
+      // Truncated Fisher–Yates: the full backward shuffle finalizes the
+      // loser block [limit, count) with its first count - limit draws —
+      // every later draw only permutes the winner block [0, limit) — so
+      // stopping there keeps the kept/killed partition bit-identical
+      // while skipping O(limit) tail work. Losers land in lottery order
+      // rather than index order, which nothing observable depends on
+      // (see DESIGN.md, "Engine hot path").
       for (std::size_t i = ob.count; i > limit; --i) {
         const std::size_t j = arb.below(i);
         std::swap(b[i - 1], b[j]);
       }
     }
     // Losers need no write: their cursor stops here, short of end, and
-    // everything downstream (compaction, tracing, the parallel merge)
-    // reads the delivered state straight off the packed word
-    // (cursor == end).
+    // everything downstream (compaction, tracing) reads the delivered
+    // state straight off the packed word (cursor == end).
     for (std::size_t k = 0; k < winners; ++k) {
       if constexpr (kPipelined) {
         if (k + 8 < winners) prefetch(ce + b[k + 8]);
@@ -746,9 +560,9 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
   list.clear();
 }
 
-/// The serial executor's stage sweep (and the sharded executor's serial
-/// spine stages): fused_stage over the global worklists and scratch, with
-/// every survivor forwarded to its next stage's global worklist.
+/// One stage of the serial executor: fused_stage over the global
+/// worklists and scratch, with every survivor forwarded to its next
+/// stage's global worklist.
 template <typename ChanT>
 #if defined(__GNUC__) && !defined(__clang__)
 // The sharded-executor instantiations grew this translation unit past
@@ -777,15 +591,19 @@ void CycleEngine::run_stage_serial(const ChanT* chan, std::uint32_t cycle,
               });
 }
 
-/// One cycle's stage sweep, subtree-sharded. Shards run the fused serial
-/// algorithm over their private worklists — the up band [0, spine_lo) and
-/// the down band [spine_hi, num_stages) in parallel, with the serial
-/// coordination steps (outbox distribution, spine arbitration, spine
-/// fan-out) between them. Bit-identity with the serial sweep follows from
-/// channel disjointness: every channel's contender set is assembled from
-/// the same messages, restored to ascending pending order before its
-/// pinned (seed, cycle, channel) lottery, and under-limit buckets admit
-/// everyone regardless of order.
+/// One cycle's stage sweep, subtree-sharded: a loop over segments — the
+/// up band [0, spine_lo), each spine stage on its own, then the down band
+/// [spine_hi, num_stages). In a segment every shard runs the fused stage
+/// sweep over its own worklists (on the pool when the segment is heavy),
+/// then the coordinating thread distributes the survivors that moved to
+/// another shard. A message changes shard only on a hop out of the up
+/// band's last stage or out of a spine stage, and each such hop lands in
+/// a later segment, so no shard ever receives work for a stage it has
+/// already swept. Bit-identity with the serial sweep follows from channel
+/// ownership: every channel's contender set is assembled from the same
+/// messages, restored to ascending pending order before its pinned
+/// (seed, cycle, channel) lottery, and under-limit buckets admit everyone
+/// regardless of order.
 template <typename ChanT>
 #if defined(__GNUC__) && !defined(__clang__)
 // Same unit-growth inlining rationale as run_stage_serial: the per-shard
@@ -811,10 +629,9 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
     if (st.sort_bits.size() < words) st.sort_bits.resize(words, 0);
   }
 
-  // A shard's stage band: the fused algorithm on its own scratch. The
-  // forward rule is the shard invariant in code — below the spine a
-  // survivor's next channel is always ours; at or above it, anything not
-  // ours (spine channels, another shard's down channels) leaves through
+  // A shard's stages [s_begin, s_end): the fused algorithm on its own
+  // scratch. A survivor whose next channel is ours stays on our
+  // worklists (below the spine it always is); any other leaves through
   // the outbox for the serial distribution step.
   auto run_band = [&](ShardState& st, std::uint32_t my_shard,
                       std::uint32_t s_begin, std::uint32_t s_end) {
@@ -847,122 +664,71 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
     return entries;
   };
 
-  // Small cycles run the shard loop inline — same structure, same
-  // results, no pool wakeup (late cycles shrink below the threshold as
-  // messages deliver). `work` estimates the band's stage-entry visits.
-  const bool pooled = pool_ != nullptr && pool_->size() > 1;
-  auto dispatch = [&](std::uint32_t s_begin, std::uint32_t s_end,
-                      std::size_t work) {
-    if (pooled && num_shards >= 2 && work >= kMinParallelWork) {
-      pool_->run_tasks(num_shards, [&](std::size_t sh) {
-        run_band(shards_[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
-      });
+  // One segment. Phase timing charges the shard sweep to `sweep_acc` (its
+  // band's accumulator) and the distribution to the serial spine share.
+  // The distribution routes each crossing survivor to its destination
+  // shard's worklists, counting it into the target bucket as it lands.
+  const bool pooled = pool_->size() > 1;
+  auto segment = [&](std::uint32_t s_begin, std::uint32_t s_end,
+                     bool on_pool, double& sweep_acc) {
+    PhaseClock::time_point t0, t1;
+    if (time_phases_) t0 = PhaseClock::now();
+    auto sweep = [&](std::size_t sh) {
+      run_band(shards_[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
+    };
+    if (on_pool) {
+      pool_->run_tasks(num_shards, sweep);
     } else {
-      for (std::size_t sh = 0; sh < num_shards; ++sh) {
-        run_band(shards_[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
-      }
+      for (std::size_t sh = 0; sh < num_shards; ++sh) sweep(sh);
     }
-  };
-
-  // Phase timing splits the sweep at its three natural seams: the two
-  // shard-parallel dispatches and the middle (outbox distribution, spine
-  // arbitration, spine fan-out) between them. Spine stages resolved on
-  // the pool accumulate into ph_spine_par_ inside the middle window and
-  // are subtracted from its serial share below.
-  PhaseClock::time_point pt0, pt1, pt2;
-  double spine_par_before = 0.0;
-  if (time_phases_) {
-    pt0 = PhaseClock::now();
-    spine_par_before = ph_spine_par_;
-  }
-
-  // Up phase: shard-parallel. Every contender is seeded on its first
-  // stage before the band starts, so the entry count is the band's work.
-  dispatch(0, spine_lo, band_entries(0, spine_lo));
-
-  if (time_phases_) pt1 = PhaseClock::now();
-
-  // Outbox distribution, serial: route each crossing survivor to the
-  // global spine worklists or its destination shard's down worklists,
-  // counting it into the target bucket as it lands.
-  for (ShardState& st : shards_) {
-    for (const std::uint64_t e : st.outbox) {
-      const std::uint32_t nc = entry_chan(e);
-      const std::uint32_t ns = stg[nc];
-      const std::uint32_t sh = shard_tbl[nc];
-      if (sh == ChannelGraph::kNoShard) {
-        if (bucket_pos_[nc]++ == 0) stage_touched_[ns].push_back(nc);
-        stage_list_[ns].push_back(e);
-      } else {
-        ShardState& tgt = shards_[sh];
-        if (bucket_pos_[nc]++ == 0) tgt.stage_touched[ns].push_back(nc);
+    if (time_phases_) {
+      t1 = PhaseClock::now();
+      sweep_acc += phase_delta(t0, t1);
+    }
+    std::uint32_t* const bp = bucket_pos_.data();
+    for (ShardState& st : shards_) {
+      for (const std::uint64_t e : st.outbox) {
+        const std::uint32_t nc = entry_chan(e);
+        const std::uint32_t ns = stg[nc];
+        ShardState& tgt = shards_[shard_tbl[nc]];
+        if (bp[nc]++ == 0) tgt.stage_touched[ns].push_back(nc);
         tgt.stage_list[ns].push_back(e);
       }
+      st.outbox.clear();
     }
-    st.outbox.clear();
-  }
+    if (time_phases_) ph_spine_ += phase_delta(t1, PhaseClock::now());
+  };
 
-  // Spine stages, on the global worklists: the only arbitration that
-  // crosses shards. Empty when the shard roots sit directly under the
-  // fat-tree root (shard level 1). Each spine channel's lottery is keyed
-  // by (seed, cycle, channel) alone, so heavy spine stages go to the
-  // pool — workers resolve disjoint buckets, then run_stage_parallel's
-  // channel-ordered merge applies the outcomes deterministically, which
-  // is what keeps results, traces and telemetry bit-identical to the
-  // serial spine (and to the fully serial executor). Light stages stay
-  // on the coordinating thread: below kMinParallelWork the batch wakeup
-  // costs more than the lottery.
+  // A segment goes to the pool when its work reaches kMinParallelWork;
+  // small cycles run the shard loop inline — same structure, same results,
+  // no pool wakeup. The up band's work is its entry count: every contender
+  // is seeded on its first stage before the band starts.
+  const std::size_t up_work = band_entries(0, spine_lo);
+  segment(0, spine_lo, pooled && up_work >= kMinParallelWork, ph_up_);
+
+  // Spine stages, one segment each: the stages whose survivors may move
+  // between shards. None when the shard roots sit directly under the
+  // fat-tree root (shard level 1). A heavy spine stage goes to the pool
+  // when parallel_spine is on, counted as spine_parallel; otherwise its
+  // shards sweep one after another on this thread, counted as spine.
   const bool spine_pooled = pooled && opts_.parallel_spine;
   for (std::uint32_t s = spine_lo; s < spine_hi; ++s) {
-    if (stage_list_[s].empty()) continue;
-    if (spine_pooled && stage_list_[s].size() >= kMinParallelWork) {
-      if (time_phases_) {
-        const auto st0 = PhaseClock::now();
-        run_stage_parallel(chan, cycle, s, cycle_losses, cycle_hops);
-        ph_spine_par_ += phase_delta(st0, PhaseClock::now());
-      } else {
-        run_stage_parallel(chan, cycle, s, cycle_losses, cycle_hops);
-      }
-    } else {
-      run_stage_serial(chan, cycle, s, cycle_losses, cycle_hops);
-    }
+    const std::size_t entries = band_entries(s, s + 1);
+    if (entries == 0) continue;
+    const bool on_pool = spine_pooled && entries >= kMinParallelWork;
+    segment(s, s + 1, on_pool, on_pool ? ph_spine_par_ : ph_spine_);
   }
 
-  // Spine fan-out: survivors the spine forwarded into global down-stage
-  // lists move to their owning shards. Their buckets were already counted
-  // when forwarded; only the list entries and touched records relocate.
-  for (std::uint32_t s = spine_hi; s < num_stages; ++s) {
-    std::vector<std::uint64_t>& list = stage_list_[s];
-    std::vector<std::uint32_t>& touched = stage_touched_[s];
-    if (list.empty() && touched.empty()) continue;
-    for (const std::uint32_t c : touched) {
-      shards_[shard_tbl[c]].stage_touched[s].push_back(c);
-    }
-    touched.clear();
-    for (const std::uint64_t e : list) {
-      shards_[shard_tbl[entry_chan(e)]].stage_list[s].push_back(e);
-    }
-    list.clear();
-  }
-
-  if (time_phases_) pt2 = PhaseClock::now();
-
-  // Down phase: shard-parallel; descent never leaves the subtree, so no
-  // outbox entries can appear. The lists hold only the entries that
-  // turned downward so far; each descends to its leaf, crossing one down
-  // stage after another unless it loses, so the band's work is weighted
-  // by its stage count (its entry count alone stays below the threshold
-  // even when the band carries most of a contended cycle's hops).
-  dispatch(spine_hi, num_stages,
-           band_entries(spine_hi, num_stages) * (num_stages - spine_hi));
-
-  if (time_phases_) {
-    const auto pt3 = PhaseClock::now();
-    ph_up_ += phase_delta(pt0, pt1);
-    ph_spine_ += std::max(
-        0.0, phase_delta(pt1, pt2) - (ph_spine_par_ - spine_par_before));
-    ph_down_ += phase_delta(pt2, pt3);
-  }
+  // Down band: descent never leaves the subtree, so its distribution
+  // finds no outbox entries. The lists hold only the entries that turned
+  // downward so far; each descends to its leaf, crossing one down stage
+  // after another unless it loses, so the band's work is weighted by its
+  // stage count (its entry count alone stays below the threshold even
+  // when the band carries most of a contended cycle's hops).
+  const std::size_t down_work =
+      band_entries(spine_hi, num_stages) * (num_stages - spine_hi);
+  segment(spine_hi, num_stages, pooled && down_work >= kMinParallelWork,
+          ph_down_);
 
   for (ShardState& st : shards_) {
     cycle_losses += st.losses;
@@ -977,17 +743,15 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
 /// prefix of the counts) in the double buffers while staging each reseed
 /// under its owning shard, then let every shard drain its own seeds, in
 /// block order, into its worklists and bucket counts — a channel's count
-/// is only ever written by the task of the shard that owns it. Seeds
-/// whose first channel lies outside every shard go to the global lists
-/// on the coordinating thread. Pending indices equal the serial
-/// compaction's, so everything keyed by them (sorted lotteries, the RLB
-/// hash, the adaptive stagger) is unchanged; worklist order was already
-/// unobservable (see the stage_list_ comment).
+/// is only ever written by the task of the shard that owns it. Pending
+/// indices equal the serial compaction's, so everything keyed by them
+/// (sorted lotteries, the RLB hash, the adaptive stagger) is unchanged;
+/// worklist order was already unobservable (see the stage_list_
+/// comment).
 template <typename ChanT, typename Compact>
 std::size_t CycleEngine::compact_pooled(const Compact& compact) {
   const std::size_t pending = ce_.size();
   const std::size_t num_shards = shards_.size();
-  const std::size_t slots = num_shards + 1;
   // About four blocks per participant so stealing evens out clustered
   // losers, and at least 1024 messages a block.
   const std::size_t num_blocks = std::max<std::size_t>(
@@ -1009,18 +773,17 @@ std::size_t CycleEngine::compact_pooled(const Compact& compact) {
   ce_next_.resize(kept);
   begin_next_.resize(kept);
   first_chan_next_.resize(kept);
-  if (seed_stage_.size() < num_blocks * slots) {
-    seed_stage_.resize(num_blocks * slots);
+  if (seed_stage_.size() < num_blocks * num_shards) {
+    seed_stage_.resize(num_blocks * num_shards);
   }
   const std::uint32_t* const shard_tbl = graph_.shard.data();
   pool_->run_tasks(num_blocks, [&](std::size_t b) {
-    std::vector<std::uint64_t>* const staged = seed_stage_.data() + b * slots;
+    std::vector<std::uint64_t>* const staged =
+        seed_stage_.data() + b * num_shards;
     compact(block_lo(b), block_lo(b + 1), rank[b], ce_next_.data(),
             begin_next_.data(), first_chan_next_.data(),
             [&](std::uint32_t k, std::uint32_t fc) {
-              const std::uint32_t sh = shard_tbl[fc];
-              staged[sh == ChannelGraph::kNoShard ? num_shards : sh]
-                  .push_back(pack_entry(k, fc));
+              staged[shard_tbl[fc]].push_back(pack_entry(k, fc));
             });
   });
   ce_.swap(ce_next_);
@@ -1029,10 +792,11 @@ std::size_t CycleEngine::compact_pooled(const Compact& compact) {
 
   const auto* const stg = stage_table<ChanT>();
   std::uint32_t* const bp = bucket_pos_.data();
-  auto drain = [&](std::size_t slot, std::vector<std::uint64_t>* lst,
-                   std::vector<std::uint32_t>* touch) {
+  pool_->run_tasks(num_shards, [&](std::size_t sh) {
+    auto* const lst = shards_[sh].stage_list.data();
+    auto* const touch = shards_[sh].stage_touched.data();
     for (std::size_t b = 0; b < num_blocks; ++b) {
-      std::vector<std::uint64_t>& seeds = seed_stage_[b * slots + slot];
+      std::vector<std::uint64_t>& seeds = seed_stage_[b * num_shards + sh];
       for (const std::uint64_t e : seeds) {
         const std::uint32_t fc = entry_chan(e);
         const std::uint32_t fs = stg[fc];
@@ -1041,11 +805,7 @@ std::size_t CycleEngine::compact_pooled(const Compact& compact) {
       }
       seeds.clear();
     }
-  };
-  pool_->run_tasks(num_shards, [&](std::size_t sh) {
-    drain(sh, shards_[sh].stage_list.data(), shards_[sh].stage_touched.data());
   });
-  drain(num_shards, stage_list_.data(), stage_touched_.data());
   return kept;
 }
 
@@ -1146,17 +906,17 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     auto* lst = g_lst;
     auto* touch = g_touch;
     if (shard_tbl != nullptr) {
-      const std::uint32_t sh = shard_tbl[fc];
-      if (sh != ChannelGraph::kNoShard) {
-        lst = shards_[sh].stage_list.data();
-        touch = shards_[sh].stage_touched.data();
-      }
+      ShardState& st = shards_[shard_tbl[fc]];
+      lst = st.stage_list.data();
+      touch = st.stage_touched.data();
     }
     const std::uint32_t fs = stg[fc];
     if (g_bp[fc]++ == 0) touch[fs].push_back(fc);
     lst[fs].push_back(pack_entry(idx, fc));
   };
 
+  // Pooled compaction: sharded runs with more than one pool participant.
+  const bool pooled = sharded_ && pool_->size() > 1;
   // Retry policy and fault plan are sampled once per run; with both off
   // every loop below is the classic hot path (active_limit_ == limit_).
   const RetryPolicy& retry = opts_.retry;
@@ -1327,46 +1087,26 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     // A message dies at the first channel whose random cap-subset lottery
     // it loses; stages run in causal order along every path. Worklists
     // were seeded by last cycle's compaction (retries) and this cycle's
-    // injection, both in ascending message order. A stage's contender
-    // count equals its worklist length, so the serial/parallel split is
-    // decided before any bucket is built.
-    const bool pooled = pool_ != nullptr && pool_->size() > 1;
+    // injection, both in ascending message order.
     if (want_carried_) std::fill(carried_.begin(), carried_.end(), 0);
     const ChanT* chan = chan_buf.data();
     std::uint64_t cycle_losses = 0;
     std::uint64_t cycle_hops = 0;
-    if (sweep_free) {
-      // One serial pass: timed as the serial (spine) band, like the
-      // serial stages below.
-      const auto st0 = time_phases_ ? PhaseClock::now() : cyc_t0;
-      tally_sweep(chan, cycle_hops);
-      if (time_phases_) ph_spine_ += phase_delta(st0, PhaseClock::now());
-    } else if (sharded_) {
+    if (sharded_ && !sweep_free) {
       run_cycle_sharded(chan, cycle, cycle_losses, cycle_hops);
-    } else if (time_phases_) {
-      // Timed twin of the loop below: stages resolved on the pool count
-      // as the parallel band, serial stages as the (spine) serial band.
-      for (std::uint32_t s = 0; s < graph_.num_stages; ++s) {
-        if (stage_list_[s].empty()) continue;
-        const bool par = pooled && stage_list_[s].size() >= kMinParallelWork;
-        const auto st0 = PhaseClock::now();
-        if (par) {
-          run_stage_parallel(chan, cycle, s, cycle_losses, cycle_hops);
-        } else {
-          run_stage_serial(chan, cycle, s, cycle_losses, cycle_hops);
-        }
-        const double dt = phase_delta(st0, PhaseClock::now());
-        (par ? ph_up_ : ph_spine_) += dt;
-      }
     } else {
-      for (std::uint32_t s = 0; s < graph_.num_stages; ++s) {
-        if (stage_list_[s].empty()) continue;
-        if (pooled && stage_list_[s].size() >= kMinParallelWork) {
-          run_stage_parallel(chan, cycle, s, cycle_losses, cycle_hops);
-        } else {
+      // The serial sweep, or a fault-free tally's single pass over the
+      // live messages: timed as the serial (spine) band.
+      const auto st0 = time_phases_ ? PhaseClock::now() : cyc_t0;
+      if (sweep_free) {
+        tally_sweep(chan, cycle_hops);
+      } else {
+        for (std::uint32_t s = 0; s < graph_.num_stages; ++s) {
+          if (stage_list_[s].empty()) continue;
           run_stage_serial(chan, cycle, s, cycle_losses, cycle_hops);
         }
       }
+      if (time_phases_) ph_spine_ += phase_delta(st0, PhaseClock::now());
     }
 
     // Adaptive occupancy feedback, serial coordination path: fold this
@@ -1459,8 +1199,7 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
       std::uint32_t* const fcs = first_chan_.data();
       std::uint32_t* const ic = inject_cycle_.data();
       if (!retry_on) {
-        if (sharded_ && pooled && !trace && !lat_on &&
-            pending >= kMinParallelWork) {
+        if (pooled && !trace && !lat_on && pending >= kMinParallelWork) {
           const auto ct0 = time_phases_ ? PhaseClock::now() : cyc_t0;
           kept = compact_pooled<ChanT>(compact);
           if (time_phases_) ph_compact_ += phase_delta(ct0, PhaseClock::now());

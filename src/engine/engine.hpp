@@ -21,11 +21,13 @@
 //   * Channel model — the ChannelGraph handed to the constructor
 //     (engine/fat_tree_model.hpp, nets/Network, kary/KaryTree adapters).
 //
-// Parallel mode resolves contention across independent channels of one
-// arbitration stage on a persistent thread pool. Results are identical to
-// serial mode: every random arbitration draws from a private stream seeded
-// by (seed, cycle, channel), so no decision depends on thread scheduling,
-// and FIFO arrivals are merged in channel-index order.
+// Two executors run the lossy/tally cycle: the serial one, and on graphs
+// with a shard partition the subtree-sharded one, whose shards sweep
+// their own channels on a persistent thread pool. Both run the same stage
+// sweep (fused_stage), and results are identical: every random
+// arbitration draws from a private stream seeded by (seed, cycle,
+// channel), so no decision depends on thread scheduling. FIFO mode splits
+// its rounds into channel ranges, merged in channel-index order.
 #pragma once
 
 #include <cstdint>
@@ -96,19 +98,21 @@ struct EngineOptions {
   std::uint32_t max_cycles = 0;
   /// Seed for RandomSubset arbitration streams.
   std::uint64_t seed = 0;
-  /// Resolve independent channels of a stage on a thread pool. Identical
-  /// results to serial mode at any thread count.
+  /// Run on a thread pool: the subtree-sharded executor when the graph
+  /// carries a shard partition (lossy/tally), channel-range rounds in
+  /// FIFO mode. A lossy/tally graph with no shard partition runs serially
+  /// and starts no pool. Identical results to serial mode at any thread
+  /// count.
   bool parallel = false;
   /// Worker threads for parallel mode (0 = hardware concurrency).
   std::size_t threads = 0;
-  /// Sharded executor only: resolve heavy spine stages on the thread pool
-  /// instead of serially on the coordinating thread (per-channel
-  /// arbitration is keyed by (seed, cycle, channel), so spine channels
-  /// are independent; a channel-ordered serial merge keeps accounting,
-  /// traces and telemetry bit-identical — see DESIGN.md, "Spine
-  /// parallelization"). On by default; exists as a switch so the Amdahl
-  /// cost of a serial spine stays measurable (exp_scaleout compares
-  /// both).
+  /// Sharded executor only: sweep a heavy spine stage's shards on the
+  /// thread pool instead of one after another on the coordinating thread
+  /// (each spine channel belongs to one shard and its lottery is keyed
+  /// by (seed, cycle, channel), so the shards are independent — see
+  /// DESIGN.md, "Spine parallelization"). On by default; exists as a
+  /// switch so the Amdahl cost of a serial spine stays measurable
+  /// (exp_scaleout compares both).
   bool parallel_spine = true;
   /// Per-message retry policy (lossy/tally modes; FIFO rounds have no
   /// losses to retry, so it is ignored there). Off by default.
@@ -174,12 +178,8 @@ class CycleEngine {
 
   /// Runs one batch of messages to completion. Lossy/tally: all messages
   /// contend from cycle 1 and losers retry until delivered (or the engine
-  /// gives up). Fifo: synchronous store-and-forward rounds. The PathSet
-  /// overloads are the native (allocation-free) entry points; the
-  /// vector-of-paths overloads convert once and forward.
+  /// gives up). Fifo: synchronous store-and-forward rounds.
   EngineResult run(const PathSet& paths, EngineObserver* observer = nullptr);
-  EngineResult run(const std::vector<EnginePath>& paths,
-                   EngineObserver* observer = nullptr);
 
   /// Lossy/tally only: batch i is injected at cycle i+1 (the offline
   /// schedule replay: one batch per scheduled delivery cycle). Losers of
@@ -187,8 +187,6 @@ class CycleEngine {
   /// valid offline schedule replays in exactly schedule.num_cycles()
   /// cycles with zero losses.
   EngineResult run_batched(const std::vector<PathSet>& batches,
-                           EngineObserver* observer = nullptr);
-  EngineResult run_batched(const std::vector<std::vector<EnginePath>>& batches,
                            EngineObserver* observer = nullptr);
 
   /// Streaming run(): consumes the source chunk by chunk, injecting every
@@ -216,11 +214,11 @@ class CycleEngine {
 
   /// Per-shard execution state for the subtree-sharded parallel mode: a
   /// shard owns the worklists, arena and sort scratch of every channel the
-  /// graph's shard table assigns to it, so the up- and down-phase sweeps
-  /// of one cycle run shard-parallel with no shared mutable state. The
-  /// outbox collects survivors whose next channel leaves the shard (spine
-  /// channels or another shard's down channels); the coordinating thread
-  /// distributes it between phases. Cache-line aligned: neighbouring
+  /// graph's shard table assigns to it, so each segment of a cycle's sweep
+  /// runs shard-parallel with no shared mutable state. The outbox collects
+  /// survivors whose next channel belongs to another shard; the
+  /// coordinating thread distributes it between segments. Cache-line
+  /// aligned: neighbouring
   /// shards' worklist headers and loss/hop counters are written by
   /// different workers every cycle, and letting them share a line costs
   /// real coherence traffic at high shard counts.
@@ -241,15 +239,6 @@ class CycleEngine {
   /// force a reload.
   template <typename ChanT>
   const auto* stage_table() const;
-  void build_buckets(const std::vector<std::uint64_t>& list,
-                     std::uint32_t stage);
-  template <typename ChanT>
-  void arbitrate_bucket(const ChanT* chan, std::uint32_t cycle,
-                        std::uint32_t channel, std::size_t bucket);
-  template <typename ChanT>
-  void run_stage_parallel(const ChanT* chan, std::uint32_t cycle,
-                          std::uint32_t stage, std::uint64_t& cycle_losses,
-                          std::uint64_t& cycle_hops);
   /// The fused stage algorithm (bucket counting, arbitration, accounting,
   /// survivor forwarding in two sweeps) over caller-owned scratch — the
   /// one lossy stage sweep: run_stage_serial runs it on the global
@@ -275,16 +264,16 @@ class CycleEngine {
                    std::vector<std::uint64_t>& sort_bits,
                    std::uint64_t& cycle_losses, std::uint64_t& cycle_hops,
                    Forward&& forward);
-  /// fused_stage on the global worklists and scratch (the serial executor
-  /// and the sharded executor's serial spine stages).
+  /// fused_stage on the global worklists and scratch: one stage of the
+  /// serial executor.
   template <typename ChanT>
   void run_stage_serial(const ChanT* chan, std::uint32_t cycle,
                         std::uint32_t stage, std::uint64_t& cycle_losses,
                         std::uint64_t& cycle_hops);
-  /// One full cycle's stage sweep in subtree-sharded mode: parallel shard
-  /// up phases, serial outbox distribution + spine stages, parallel shard
-  /// down phases, then a per-shard counter reduction (see DESIGN.md,
-  /// "Scale-out").
+  /// One full cycle's stage sweep in subtree-sharded mode: a loop over
+  /// segments (the up band, each spine stage, the down band), each a
+  /// shard sweep followed by the serial outbox distribution, then a
+  /// per-shard counter reduction (see DESIGN.md, "Scale-out").
   template <typename ChanT>
   void run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
                          std::uint64_t& cycle_losses,
@@ -314,9 +303,10 @@ class CycleEngine {
 
   /// Subtree-sharded parallel mode: engaged when the graph carries a
   /// shard partition, the engine is parallel and the policy is lossy or
-  /// tally. Serial and sharded runs are bit-identical — every channel's
-  /// contender set and pinned (seed, cycle, channel) lottery are the same
-  /// — so this is purely an execution strategy, not a model change.
+  /// tally; the only lossy/tally mode that starts a pool. Serial and
+  /// sharded runs are bit-identical — every channel's contender set and
+  /// pinned (seed, cycle, channel) lottery are the same — so this is
+  /// purely an execution strategy, not a model change.
   bool sharded_ = false;
   std::vector<ShardState> shards_;
 
@@ -383,13 +373,13 @@ class CycleEngine {
   /// Block-parallel compaction scratch: block b's first output rank
   /// (entry b, after a prefix scan of the per-block loser counts; entry
   /// num_blocks holds the total), and its reseeds staged per owning
-  /// shard (slot b * (num_shards + 1) + shard, the last slot of each
-  /// block for first channels outside every shard).
+  /// shard (slot b * num_shards + shard).
   std::vector<std::uint32_t> block_rank_;
   std::vector<std::vector<std::uint64_t>> seed_stage_;
-  /// Worklists: list s holds the live messages whose next channel lies in
-  /// stage s, packed as (msg << 32) | channel so bucket building never
-  /// re-derives the channel through the message table and the CSR buffer.
+  /// Serial-executor worklists: list s holds the live messages whose
+  /// next channel lies in stage s, packed as (msg << 32) | channel so
+  /// bucket building never re-derives the channel through the message
+  /// table and the CSR buffer.
   /// Seeded once per cycle from each message's first hop; stage s
   /// arbitration appends its survivors directly to later stages (paths
   /// have strictly increasing stages), so a cycle costs O(hops) instead
@@ -404,25 +394,17 @@ class CycleEngine {
   // c's contenders, then a fill cursor or under-limit sentinel during the
   // stage's sweep, and is reset to zero (sticky) when the stage ends.
   // stage_touched_[s] lists the distinct channels of stage s with a
-  // nonzero count. The parallel path additionally lays every bucket out
-  // in CSR form: bucket j (channel stage_touched_[s][j]) occupies
-  // arena_[bucket_off_[j] .. bucket_off_[j+1]).
+  // nonzero count (the serial executor's; shards keep their own).
+  // bucket_pos_ is shared: a channel's count is only written by the
+  // shard that owns it, or by the coordinating thread between segments.
   std::vector<std::vector<std::uint32_t>> stage_touched_;
-  std::vector<std::uint32_t> bucket_off_;
   std::vector<std::uint32_t> bucket_pos_;
   std::vector<std::uint32_t> arena_;
   std::vector<OverBucket> over_;           ///< run_stage_serial scratch
-  std::vector<std::size_t> chunk_bounds_;  ///< parallel work partition
-  /// Wire-selecting policies (Dmod, RandomLoadBalanced) can leave wires
-  /// idle, so a contended bucket's winner count is no longer min(size,
-  /// limit). Workers record it here (disjoint slots, one per bucket) and
-  /// run_stage_parallel's serial merge reads it back; unused — never
-  /// resized — under ObliviousRandom and AdaptiveOccupancy.
-  std::vector<std::uint32_t> bucket_winners_;
-  /// AdaptiveOccupancy state. over_pressure_[c] is set (by whichever
-  /// executor arbitrated channel c — channels of one stage are disjoint,
-  /// so writes never race) when c's bucket ran over limit this cycle;
-  /// the serial end-of-cycle scan folds it into hot_streak_[c]
+  /// AdaptiveOccupancy state. over_pressure_[c] is set (by the sweep that
+  /// arbitrated channel c — only c's owner ever does, so writes never
+  /// race) when c's bucket ran over limit this cycle; the serial
+  /// end-of-cycle scan folds it into hot_streak_[c]
   /// (consecutive over-pressure cycles, reset on a calm one) and clears
   /// it. The scan walks adaptive_scan_: the telemetry probe's in-budget
   /// channel list (engine/channel_scan.hpp), built once per engine.
@@ -433,9 +415,10 @@ class CycleEngine {
   std::vector<std::uint32_t> over_pressure_;
   std::vector<std::uint32_t> hot_streak_;
   std::vector<std::uint32_t> adaptive_scan_;
-  /// Bit-per-pending-message scratch for the serial over-loop's bitmap
-  /// sort of large contended buckets (engine.cpp sort_by_bitmap). Kept
-  /// all-zero between uses: extraction clears each word it reads.
+  /// Bit-per-pending-message scratch for the serial executor's bitmap
+  /// sort of large contended buckets (engine.cpp sort_by_bitmap; each
+  /// shard has its own). Kept all-zero between uses: extraction clears
+  /// each word it reads.
   std::vector<std::uint64_t> sort_bits_;
 
   /// carried_ is only observable through an observer's CycleSnapshot;

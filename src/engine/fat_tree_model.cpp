@@ -40,10 +40,15 @@ ChannelGraph fat_tree_channel_graph(const FatTreeTopology& topo,
       if (v == 1) continue;  // external interface: no stage, no budget
       g.stage[idx] = dir == Direction::Up ? L - level : (L - 1) + level;
       g.in_wire_budget[idx] = 1;
-      if (shard_level > 0 && topo.level(v) >= shard_level) {
-        // Owning shard: the ancestor at shard_level, rebased to 0.
-        g.shard[idx] = static_cast<std::uint32_t>(
-            (v >> (topo.level(v) - shard_level)) - (NodeId{1} << shard_level));
+      if (shard_level > 0) {
+        // Owning shard: the ancestor at shard_level, rebased to 0. A spine
+        // node above shard_level goes to the first shard below it, which
+        // spreads every spine stage's channels evenly over the shards.
+        const std::uint32_t lv = topo.level(v);
+        const NodeId root = lv >= shard_level ? v >> (lv - shard_level)
+                                              : v << (shard_level - lv);
+        g.shard[idx] =
+            static_cast<std::uint32_t>(root - (NodeId{1} << shard_level));
       }
     }
   }
@@ -126,16 +131,6 @@ PathSet fat_tree_path_set(const FatTreeTopology& topo, const MessageSet& m) {
   paths.reserve(m.size(), m.size() * 2ull * topo.height());
   for (const auto& msg : m) {
     append_fat_tree_path(topo, msg.src, msg.dst, paths);
-  }
-  return paths;
-}
-
-std::vector<EnginePath> fat_tree_engine_paths(const FatTreeTopology& topo,
-                                              const MessageSet& m) {
-  std::vector<EnginePath> paths;
-  paths.reserve(m.size());
-  for (const auto& msg : m) {
-    paths.push_back(fat_tree_engine_path(topo, msg.src, msg.dst));
   }
   return paths;
 }

@@ -26,10 +26,11 @@ namespace ft {
 /// `shard_level` > 0 additionally partitions the graph for the engine's
 /// subtree-sharded parallel mode: the 2^shard_level subtrees rooted at
 /// heap level shard_level become shards owning every channel at or below
-/// their root, and the channels above (levels 1..shard_level-1) form the
-/// serially-arbitrated spine. Must satisfy 1 <= shard_level < height when
-/// nonzero; 0 (the default) attaches no shard metadata, and the engine
-/// behaves exactly as before.
+/// their root. The channels above (levels 1..shard_level-1) form the
+/// spine band; each spine node's pair belongs to the first shard below
+/// it. Only the root's external pair belongs to no shard. Must satisfy
+/// 1 <= shard_level < height when nonzero; 0 (the default) attaches no
+/// shard metadata, and a parallel lossy engine runs it serially.
 ChannelGraph fat_tree_channel_graph(const FatTreeTopology& topo,
                                     const CapacityProfile& caps,
                                     std::uint32_t shard_level = 0);
@@ -60,11 +61,6 @@ void append_fat_tree_path(const FatTreeTopology& topo, Leaf src, Leaf dst,
 /// CSR paths for a whole message set: the engine's native input format.
 /// Self messages become empty paths (local delivery, no bandwidth).
 PathSet fat_tree_path_set(const FatTreeTopology& topo, const MessageSet& m);
-
-/// Paths for a whole message set as one heap vector per message; prefer
-/// fat_tree_path_set for anything hot.
-std::vector<EnginePath> fat_tree_engine_paths(const FatTreeTopology& topo,
-                                              const MessageSet& m);
 
 /// Streams fat-tree paths for a MessageStream workload, one chunk at a
 /// time: the full PathSet for an n = 2^20 permutation (~160 MiB of CSR)

@@ -9,16 +9,16 @@ namespace ft {
 
 /// Wall-clock decomposition of a timed run (EngineOptions::time_phases)
 /// into its parallelizable and inherently serial parts. In the sharded
-/// executor `up`/`down` cover the shard-parallel sweeps, `spine` the
-/// serial part of the spine band between them and `spine_parallel` the
-/// spine stages resolved on the thread pool (EngineOptions::
-/// parallel_spine); in the non-sharded loop, stages resolved on the
-/// thread pool count as `up` and serial stages as `spine`; FIFO rounds
-/// count pooled range processing as `up`. `compact` is the sharded
-/// executor's block-parallel compaction and reseed of heavy cycles.
-/// `coord` is everything else in the cycle loop — injection, serial
-/// compaction, fault bookkeeping, observer callbacks — which is serial in
-/// every mode.
+/// executor `up`/`down` cover the up- and down-band shard sweeps,
+/// `spine_parallel` the spine stages swept on the thread pool
+/// (EngineOptions::parallel_spine), and `spine` the spine stages swept
+/// on the coordinating thread plus every serial outbox distribution. The
+/// serial executor's whole stage sweep counts as `spine`; FIFO rounds
+/// count pooled range processing as `up` and a single-range sweep as
+/// `spine`. `compact` is the sharded executor's block-parallel
+/// compaction and reseed of heavy cycles. `coord` is everything else in
+/// the cycle loop — injection, serial compaction, fault bookkeeping,
+/// observer callbacks — which is serial in every mode.
 struct EnginePhaseProfile {
   double up_seconds = 0.0;
   double spine_seconds = 0.0;

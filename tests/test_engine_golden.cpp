@@ -88,7 +88,7 @@ TEST(EngineGolden, LossyRandomSubset) {
   const auto caps = CapacityProfile::universal(t, 32);
   Rng gen(9);
   const auto m = stacked_permutations(n, 4, gen);
-  const auto paths = fat_tree_engine_paths(t, m);
+  const PathSet paths = fat_tree_path_set(t, m);
   const auto graph = fat_tree_channel_graph(t, caps);
 
   for (const LossyGolden& g : kLossyGolden) {
@@ -126,7 +126,7 @@ TEST(EngineGolden, LossyGiveUp) {
   const auto caps = CapacityProfile::constant(t, 1);
   Rng gen(13);
   const auto m = stacked_permutations(n, 6, gen);
-  const auto paths = fat_tree_engine_paths(t, m);
+  const PathSet paths = fat_tree_path_set(t, m);
 
   EngineOptions opts;
   opts.contention = ContentionPolicy::RandomSubset;

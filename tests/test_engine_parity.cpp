@@ -119,17 +119,13 @@ TEST(EngineParity, ReplayReproducesSchedule) {
   const auto schedule = schedule_offline(t, caps, m);
   ASSERT_TRUE(verify_schedule(t, caps, m, schedule));
 
-  for (const bool parallel : {false, true}) {
-    ReplayOptions opts;
-    opts.parallel = parallel;
-    const auto replay = replay_schedule(t, caps, schedule, opts);
-    EXPECT_EQ(replay.cycles, schedule.num_cycles());
-    EXPECT_EQ(replay.delivered, schedule.total_messages());
-    EXPECT_EQ(replay.capacity_violations, 0u);
-    ASSERT_EQ(replay.delivered_per_cycle.size(), schedule.num_cycles());
-    for (std::size_t i = 0; i < schedule.num_cycles(); ++i) {
-      EXPECT_EQ(replay.delivered_per_cycle[i], schedule.cycles[i].size());
-    }
+  const auto replay = replay_schedule(t, caps, schedule);
+  EXPECT_EQ(replay.cycles, schedule.num_cycles());
+  EXPECT_EQ(replay.delivered, schedule.total_messages());
+  EXPECT_EQ(replay.capacity_violations, 0u);
+  ASSERT_EQ(replay.delivered_per_cycle.size(), schedule.num_cycles());
+  for (std::size_t i = 0; i < schedule.num_cycles(); ++i) {
+    EXPECT_EQ(replay.delivered_per_cycle[i], schedule.cycles[i].size());
   }
 }
 
@@ -296,10 +292,11 @@ TEST(EngineParity, TransientFaultsSerialEqualsParallel) {
 }
 
 // Every routing discipline in the zoo must preserve the engine's
-// serial ≡ parallel contract across all executors: unsharded parallel,
-// subtree-sharded with the parallel spine, and sharded with the serial
-// spine must all reproduce the serial run bit for bit — counters and the
-// full traced event stream. The wire-selecting policies (dmod, rlb) pick
+// serial ≡ parallel contract across all executors: parallel on the
+// unsharded graph (which runs the serial sweep), subtree-sharded with the
+// parallel spine, and sharded with the serial spine must all reproduce
+// the serial run bit for bit — counters and the full traced event
+// stream. The wire-selecting policies (dmod, rlb) pick
 // winners by pending index and hashed wire claims, the adaptive policy
 // folds its occupancy feedback on the coordinating thread only; none of
 // it may depend on thread count.

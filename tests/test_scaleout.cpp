@@ -297,9 +297,10 @@ TEST(Scaleout, NarrowWideBoundaryIsSeamless) {
   const std::size_t kUsed = 100;
   // Three contenders per channel, capacity 1: every channel runs a
   // lottery every cycle until its bucket drains.
-  std::vector<EnginePath> paths;
+  PathSet paths;
   for (std::uint32_t i = 0; i < 3 * kUsed; ++i) {
-    paths.push_back({static_cast<std::uint32_t>(i % kUsed)});
+    paths.push_channel(static_cast<std::uint32_t>(i % kUsed));
+    paths.close_path();
   }
 
   EngineOptions opts;
@@ -326,10 +327,10 @@ TEST(Scaleout, NarrowWideBoundaryIsSeamless) {
   for (const std::size_t channels : {std::size_t{65536}, std::size_t{65537}}) {
     CycleEngine engine(
         ChannelGraph::flat(std::vector<std::uint64_t>(channels, 1)), opts);
-    std::vector<EnginePath> top = {
+    const std::vector<EnginePath> top = {
         {static_cast<std::uint32_t>(channels - 1)},
         {static_cast<std::uint32_t>(channels - 1)}};
-    const EngineResult r = engine.run(top);
+    const EngineResult r = engine.run(PathSet::from_paths(top));
     EXPECT_EQ(r.delivered, 2u);
     EXPECT_EQ(r.cycles, 2u);
   }
@@ -600,6 +601,63 @@ TEST(Scaleout, ParallelSpineMatchesSerialUnderFaultsAndRetries) {
   }
 }
 
+// The n = 128 parallel-spine tests above stay below the pool threshold
+// (kMinParallelWork, 4096 entries), so their spine stages sweep inline.
+// Complement traffic at n = 2^13 with root capacity 6000 sends every
+// message up to the root, and no channel below level 1 is over its limit
+// (level 2 carries 2048 wires). So in the first cycle all 8192 messages
+// reach the level-1 up stage, a spine stage at shard levels 2 and 3,
+// where each of its two channels sees 4096 contenders against a limit of
+// 3780 under every policy. The pooled spine, and the inline one, must
+// match the serial run — counters, delivered-per-cycle and the traced
+// event stream — and the pooled runs must show spine time spent on the
+// pool.
+TEST(Scaleout, PooledSpineMatchesSerialUnderContention) {
+  const std::uint32_t n = 1u << 13;
+  FatTreeTopology topo(n);
+  const auto caps = CapacityProfile::universal(topo, 6000);
+  const PathSet paths = fat_tree_path_set(topo, complement_traffic(n));
+
+  for (const RoutingPolicy pol :
+       {RoutingPolicy::ObliviousRandom, RoutingPolicy::DeterministicDmod,
+        RoutingPolicy::RandomLoadBalanced,
+        RoutingPolicy::AdaptiveOccupancy}) {
+    SCOPED_TRACE("policy " + std::to_string(static_cast<int>(pol)));
+    EngineOptions serial_opts;
+    serial_opts.seed = 1515;
+    serial_opts.policy = pol;
+    CycleEngine serial_engine(fat_tree_channel_graph(topo, caps),
+                              serial_opts);
+    TraceSink serial_trace;
+    const EngineResult serial = serial_engine.run(paths, &serial_trace);
+    EXPECT_EQ(serial.delivered, n);
+    EXPECT_GT(serial.total_losses, 0u);
+
+    for (const std::uint32_t shard_level : {2u, 3u}) {
+      for (const bool parallel_spine : {false, true}) {
+        SCOPED_TRACE("shard_level " + std::to_string(shard_level) +
+                     " parallel_spine " + std::to_string(parallel_spine));
+        EngineOptions opts = serial_opts;
+        opts.parallel = true;
+        opts.threads = 4;
+        opts.parallel_spine = parallel_spine;
+        opts.time_phases = true;
+        CycleEngine engine(fat_tree_channel_graph(topo, caps, shard_level),
+                           opts);
+        TraceSink trace;
+        const EngineResult got = engine.run(paths, &trace);
+        expect_same_result(serial, got, "pooled-spine run");
+        EXPECT_EQ(event_fingerprint(serial_trace), event_fingerprint(trace));
+        if (parallel_spine) {
+          EXPECT_GT(got.phases.spine_parallel_seconds, 0.0);
+        } else {
+          EXPECT_EQ(got.phases.spine_parallel_seconds, 0.0);
+        }
+      }
+    }
+  }
+}
+
 // --- Wide hop path ---------------------------------------------------------
 
 // Above 2^16 channel slots the engine runs its u32 (wide) hop path, where
@@ -843,9 +901,10 @@ class NaiveTallyCheck final : public EngineObserver {
   std::uint64_t bad_cycles_ = 0;
 };
 
-/// Replays `s` on the serial, unsharded parallel and sharded engines, each
-/// checked cycle by cycle against the naive count; returns the naive
-/// capacity-violation count.
+/// Replays `s` on the serial engine, a parallel engine on the unsharded
+/// graph (which runs serially) and the sharded engine, each checked cycle
+/// by cycle against the naive count; returns the naive capacity-violation
+/// count.
 std::uint64_t expect_tally_matches_naive(const FatTreeTopology& topo,
                                          const CapacityProfile& caps,
                                          const Schedule& s,
@@ -920,13 +979,7 @@ TEST(Scaleout, TallyCountsOverCapacityLikeNaive) {
   s.cycles.push_back({{0, 1}, {2, 3}});       // within capacity
   const std::uint64_t naive = expect_tally_matches_naive(topo, caps, s, 2);
   EXPECT_GT(naive, 0u);
-  for (const bool parallel : {false, true}) {
-    ReplayOptions opts;
-    opts.parallel = parallel;
-    opts.threads = 4;
-    EXPECT_EQ(replay_schedule(topo, caps, s, opts).capacity_violations, naive)
-        << "parallel " << parallel;
-  }
+  EXPECT_EQ(replay_schedule(topo, caps, s).capacity_violations, naive);
 }
 
 // The wide (u32) path: n = 2^15 leaves, 2^17 channel slots, a greedy
