@@ -2,8 +2,9 @@
 // LCA/path iteration, load computation, the matching+tracing even split,
 // whole-schedule construction, Hopcroft–Karp concentrator routing, and
 // the cutting-plane decomposition. After the registered benchmarks run,
-// main() times the delivery-cycle engine (serial, and the sharded
-// executor per thread count) and writes the machine-readable
+// main() times the delivery-cycle engine (serial: one shard on the
+// calling thread; then sharded per thread count) and writes the
+// machine-readable
 // BENCH_engine.json consumed by perf tracking.
 #include <benchmark/benchmark.h>
 
@@ -210,7 +211,7 @@ BENCHMARK(BM_EngineDeliveryCycles)->Arg(1024)->Arg(4096);
 
 // ---------------------------------------------------------------------------
 // BENCH_engine.json: delivery-cycle throughput of the unified engine
-// across tree sizes: the serial executor, then the sharded one per
+// across tree sizes: serial (one-shard) runs, then sharded runs per
 // thread count. Hand-rolled timing (warmup + min-of-N repetitions) so the
 // output is a small stable JSON file rather than benchmark's full
 // reporter format.
@@ -244,7 +245,7 @@ constexpr struct {
     {"engine_cycles/n=16384/serial", 90.02836909660995},
 };
 
-/// Times the serial executor on one workload (min of
+/// Times a serial (one-shard) engine on one workload (min of
 /// kEngineMeasuredReps). Uses the engine's native PathSet entry point;
 /// the message-set-to-CSR conversion happens once, outside the timed
 /// region.

@@ -6,8 +6,9 @@
 // The workload is generated on demand (RandomPermutationStream keeps only
 // the 4n-byte destination table) and compiled to engine input one chunk
 // at a time, so the run's peak RSS is dominated by the engine's live
-// state, not the input. The sweep times serial mode and parallel mode at
-// 1, 2, 4, ... hardware threads; cycles/s per thread count lands in
+// state, not the input. The sweep times serial mode (one shard) and
+// parallel mode at 1, 2, 4, ... hardware threads (one thread starts no
+// pool: its shards sweep inline); cycles/s per thread count lands in
 // report_exp_scaleout.json (schema ft.run_report/2), along with the
 // engine's measured Amdahl phase decomposition per run (the serial spine
 // band + coordination vs the shard-parallel sweeps) and the telemetry
@@ -224,7 +225,7 @@ int main(int argc, char** argv) {
   // spine band on the pool must strictly shrink the measured Amdahl
   // serial fraction relative to the serial-spine control above — the
   // whole point of the parallel spine. Skipped on 1-thread hosts, where
-  // both runs degenerate to the same serial executor.
+  // neither run has a pool and both sweep their shards inline.
   std::string spine_gate = "skipped (host has fewer than 2 threads)";
   if (spine_ref_idx != 0 && hw >= 2) {
     const double sf_par = rows[par_idx].phases.serial_fraction();

@@ -1,11 +1,11 @@
 #include "core/online_router.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "core/load.hpp"
 #include "engine/engine.hpp"
 #include "engine/fat_tree_model.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ft {
 
@@ -61,10 +61,7 @@ std::uint32_t pick_shard_level(const FatTreeTopology& topo,
 // rule is in DESIGN.md, "Shard sizing".
 std::uint32_t auto_shard_level(std::size_t threads, std::uint32_t height) {
   if (height < 2) return 0;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  const std::size_t want = 8 * (threads + 1);
+  const std::size_t want = 8 * (resolve_threads(threads) + 1);
   std::uint32_t lvl = 1;
   while ((std::size_t{1} << lvl) < want && lvl < 6) ++lvl;
   return std::min(lvl, height > 10 ? height - 10 : 1);

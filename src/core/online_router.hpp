@@ -80,8 +80,9 @@ struct OnlineRouterOptions {
   /// floor(alpha * c) messages but at least 1 (alpha = 1 models the ideal
   /// concentrator; 3/4 models the partial concentrators of Section IV).
   double alpha = 1.0;
-  /// Route on the subtree-sharded executor's thread pool (shard_level 0
-  /// runs serially); results are identical to the serial mode.
+  /// Route on subtree shards, on a thread pool when threads resolves to
+  /// more than one worker (shard_level 0 runs as one shard on the calling
+  /// thread); results are identical to the serial mode.
   bool parallel = false;
   /// Worker threads for parallel mode (0 = hardware concurrency).
   std::size_t threads = 0;
@@ -89,11 +90,12 @@ struct OnlineRouterOptions {
   /// (see EngineOptions::parallel_spine). Results are identical either
   /// way; off keeps the serial-spine Amdahl reference measurable.
   bool parallel_spine = true;
-  /// Subtree shard depth for the parallel executor. kShardLevelAuto
-  /// defers to auto_shard_level (at least 8 shards per pool participant,
-  /// at most level 6, at least 1024 leaves a shard); any other value — 0
-  /// means explicitly unsharded, which runs serially — is used as-is,
-  /// clamped to the topology height. Ignored in serial mode.
+  /// Subtree shard depth for parallel mode. kShardLevelAuto defers to
+  /// auto_shard_level (at least 8 shards per pool participant, at most
+  /// level 6, at least 1024 leaves a shard); any other value — 0 means
+  /// explicitly unsharded, one shard on the calling thread — is used
+  /// as-is, clamped to the topology height. Ignored in serial mode, which
+  /// is always one shard.
   std::uint32_t shard_level = kShardLevelAuto;
   /// Optional instrumentation hook (per-cycle counters, channel
   /// utilization; see engine/observer.hpp). Not owned.

@@ -38,7 +38,8 @@ struct ReplayOptions {
   /// cycle forever, the classic behavior).
   RetryPolicy retry;
   /// Time the cycle loop's phases (ReplayResult::phases). A replay runs
-  /// on the serial executor, so its sweep counts as the serial band.
+  /// as one shard on the calling thread, so its sweep counts as the
+  /// serial (spine) band.
   bool time_phases = false;
 };
 

@@ -52,7 +52,7 @@ inline void sort_small(std::uint32_t* b, std::size_t n) {
 /// order: O(n + span/64) with word-at-a-time constants, against
 /// std::sort's n log n comparison sort. `bits` must be all-zero on entry
 /// and is left all-zero: extraction clears each word it reads. Each
-/// sweep owns its scratch (the serial executor's, or one shard's).
+/// shard owns its scratch.
 inline void sort_by_bitmap(std::uint64_t* bits, std::uint32_t* b,
                            std::uint32_t n) {
   std::uint32_t wmin = 0xffffffffu;
@@ -151,7 +151,7 @@ std::uint32_t select_policy_winners(RoutingPolicy pol, std::uint32_t* b,
   return w;
 }
 
-/// Worklist entry layout (see the stage_list_ comment): (msg, channel)
+/// Worklist entry layout (see ShardState::stage_list): (msg, channel)
 /// packed into one 64-bit word. A 16+16-bit packing for small runs was
 /// tried and measured ~10% slower despite halving the stream, so the
 /// layout is fixed.
@@ -322,13 +322,15 @@ CycleEngine::CycleEngine(ChannelGraph graph, const EngineOptions& opts)
       stage16_[c] = static_cast<std::uint16_t>(graph_.stage[c]);
     }
   }
-  // Subtree sharding is the lossy/tally cycle loop's only parallel
-  // executor; without a shard partition that loop runs serially. FIFO
-  // mode has its own channel-range parallelism.
-  const bool fifo = opts_.contention == ContentionPolicy::Fifo;
-  sharded_ = opts_.parallel && graph_.num_shards > 1 && !fifo;
-  if (sharded_ || (opts_.parallel && fifo)) {
-    pool_ = std::make_unique<ThreadPool>(opts_.threads);
+  // Subtree sharding is the lossy/tally cycle loop's only parallelism;
+  // without a shard partition (and in FIFO mode) the run is one shard.
+  // Every dispatch hands work to a second participant, so a one-worker
+  // pool could never run a task: it is not built.
+  sharded_ = opts_.parallel && graph_.num_shards > 1 &&
+             opts_.contention != ContentionPolicy::Fifo;
+  if (sharded_) {
+    const std::size_t workers = resolve_threads(opts_.threads);
+    if (workers > 1) pool_ = std::make_unique<ThreadPool>(workers);
   }
   if (sharded_) {
     FT_CHECK_MSG(graph_.shard.size() == num_channels,
@@ -416,16 +418,15 @@ EngineResult CycleEngine::run_batched(const std::vector<PathSet>& batches,
   return run_lossy(feed, observer);
 }
 
-/// The lossy stage sweep of every executor: bucket building,
-/// arbitration, accounting and survivor forwarding fused into two sweeps
-/// of one worklist, over caller-owned scratch (the global arena/over/sort
-/// bits, or a shard's). Only over-limit (contended) buckets are
-/// materialized in the arena; everyone else advances and forwards in
+/// The lossy stage sweep: bucket building, arbitration, accounting and
+/// survivor forwarding fused into two sweeps of one worklist, over one
+/// shard's arena/over/sort scratch. Only over-limit (contended) buckets
+/// are materialized in the arena; everyone else advances and forwards in
 /// place during the fill sweep, because an uncontended channel admits its
-/// whole bucket no matter the order. Serial and sharded sweeps agree bit
-/// for bit because contended buckets still sort to pending order before
-/// the pinned lottery, and worklist order is unobservable (see the
-/// stage_list_ comment).
+/// whole bucket no matter the order. Sweeps agree bit for bit at every
+/// shard count because contended buckets still sort to pending order
+/// before the pinned lottery, and worklist order is unobservable (see
+/// ShardState::stage_list).
 ///
 /// On the wide (u32) path the sweep is software-pipelined. There the CSR
 /// hop buffer and the packed message words outgrow the caches, and each
@@ -560,63 +561,36 @@ void CycleEngine::fused_stage(const ChanT* chan, std::uint32_t cycle,
   list.clear();
 }
 
-/// One stage of the serial executor: fused_stage over the global
-/// worklists and scratch, with every survivor forwarded to its next
-/// stage's global worklist.
+/// One cycle's stage sweep: a loop over segments — the up band [0,
+/// spine_lo), each spine stage on its own, then the down band [spine_hi,
+/// num_stages). In a segment every shard runs the fused stage sweep over
+/// its own worklists (on the pool when the segment is heavy), then the
+/// coordinating thread distributes the survivors that moved to another
+/// shard. A message changes shard only on a hop out of the up band's last
+/// stage or out of a spine stage, and each such hop lands in a later
+/// segment, so no shard ever receives work for a stage it has already
+/// swept. A one-shard run's up band is every stage (spine_lo = spine_hi =
+/// num_stages): its forward closure never reads the shard table and its
+/// outbox stays empty. Results do not depend on the shard count: every
+/// channel's contender set is assembled from the same messages, restored
+/// to ascending pending order before its pinned (seed, cycle, channel)
+/// lottery, and under-limit buckets admit everyone regardless of order.
 template <typename ChanT>
 #if defined(__GNUC__) && !defined(__clang__)
-// The sharded-executor instantiations grew this translation unit past
-// GCC's unit-growth inlining budget, at which point the inliner started
-// leaving the push_back fast paths in the sweeps as out-of-line calls —
-// one call per forwarded hop, ~20% of serial lossy throughput (verified
-// with gprof: tens of millions of vector::push_back invocations that the
-// smaller pre-sharding unit inlined). flatten forces full inlining of
-// fused_stage and its forward closure regardless of the unit budget.
-__attribute__((flatten))
-#endif
-void CycleEngine::run_stage_serial(const ChanT* chan, std::uint32_t cycle,
-                                   std::uint32_t stage,
-                                   std::uint64_t& cycle_losses,
-                                   std::uint64_t& cycle_hops) {
-  std::uint32_t* const bp = bucket_pos_.data();
-  const auto* const stg = stage_table<ChanT>();
-  auto* const lst = stage_list_.data();
-  auto* const touch = stage_touched_.data();
-  fused_stage(chan, cycle, lst[stage], touch[stage], arena_, over_,
-              sort_bits_, cycle_losses, cycle_hops,
-              [&](std::uint32_t i, std::uint32_t nc) {
-                const std::uint32_t ns = stg[nc];
-                if (bp[nc]++ == 0) touch[ns].push_back(nc);
-                lst[ns].push_back(pack_entry(i, nc));
-              });
-}
-
-/// One cycle's stage sweep, subtree-sharded: a loop over segments — the
-/// up band [0, spine_lo), each spine stage on its own, then the down band
-/// [spine_hi, num_stages). In a segment every shard runs the fused stage
-/// sweep over its own worklists (on the pool when the segment is heavy),
-/// then the coordinating thread distributes the survivors that moved to
-/// another shard. A message changes shard only on a hop out of the up
-/// band's last stage or out of a spine stage, and each such hop lands in
-/// a later segment, so no shard ever receives work for a stage it has
-/// already swept. Bit-identity with the serial sweep follows from channel
-/// ownership: every channel's contender set is assembled from the same
-/// messages, restored to ascending pending order before its pinned
-/// (seed, cycle, channel) lottery, and under-limit buckets admit everyone
-/// regardless of order.
-template <typename ChanT>
-#if defined(__GNUC__) && !defined(__clang__)
-// Same unit-growth inlining rationale as run_stage_serial: the per-shard
-// fused sweeps (always_inline'd fused_stage plus its forward closures)
-// must keep their push_back fast paths inline.
+// The engine's instantiations grow this translation unit past GCC's
+// unit-growth inlining budget, at which point the inliner leaves the
+// push_back fast paths in the sweeps as out-of-line calls — one call per
+// forwarded hop, ~20% of lossy throughput (verified with gprof). flatten
+// forces full inlining of fused_stage and its forward closures
+// regardless of the unit budget.
 __attribute__((flatten))
 #endif
 void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
                                     std::uint64_t& cycle_losses,
                                     std::uint64_t& cycle_hops) {
-  const std::uint32_t spine_lo = graph_.spine_stage_lo;
-  const std::uint32_t spine_hi = graph_.spine_stage_hi;
   const std::uint32_t num_stages = graph_.num_stages;
+  const std::uint32_t spine_lo = sharded_ ? graph_.spine_stage_lo : num_stages;
+  const std::uint32_t spine_hi = sharded_ ? graph_.spine_stage_hi : num_stages;
   const std::uint32_t* const shard_tbl = graph_.shard.data();
   const auto* const stg = stage_table<ChanT>();
   const std::size_t num_shards = shards_.size();
@@ -654,6 +628,7 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
     }
   };
 
+  const bool pooled = pool_ != nullptr;
   auto band_entries = [&](std::uint32_t s_begin, std::uint32_t s_end) {
     std::size_t entries = 0;
     for (const ShardState& st : shards_) {
@@ -668,9 +643,10 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
   // band's accumulator) and the distribution to the serial spine share.
   // The distribution routes each crossing survivor to its destination
   // shard's worklists, counting it into the target bucket as it lands.
-  const bool pooled = pool_->size() > 1;
+  // A segment with no work has nothing to sweep or distribute.
   auto segment = [&](std::uint32_t s_begin, std::uint32_t s_end,
-                     bool on_pool, double& sweep_acc) {
+                     std::size_t work, bool on_pool, double& sweep_acc) {
+    if (work == 0) return;
     PhaseClock::time_point t0, t1;
     if (time_phases_) t0 = PhaseClock::now();
     auto sweep = [&](std::size_t sh) {
@@ -702,9 +678,11 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
   // A segment goes to the pool when its work reaches kMinParallelWork;
   // small cycles run the shard loop inline — same structure, same results,
   // no pool wakeup. The up band's work is its entry count: every contender
-  // is seeded on its first stage before the band starts.
+  // is seeded on its first stage before the band starts. A one-shard
+  // sweep is serial work, so it counts as spine, not as the up band.
   const std::size_t up_work = band_entries(0, spine_lo);
-  segment(0, spine_lo, pooled && up_work >= kMinParallelWork, ph_up_);
+  segment(0, spine_lo, up_work, pooled && up_work >= kMinParallelWork,
+          sharded_ ? ph_up_ : ph_spine_);
 
   // Spine stages, one segment each: the stages whose survivors may move
   // between shards. None when the shard roots sit directly under the
@@ -714,9 +692,8 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
   const bool spine_pooled = pooled && opts_.parallel_spine;
   for (std::uint32_t s = spine_lo; s < spine_hi; ++s) {
     const std::size_t entries = band_entries(s, s + 1);
-    if (entries == 0) continue;
     const bool on_pool = spine_pooled && entries >= kMinParallelWork;
-    segment(s, s + 1, on_pool, on_pool ? ph_spine_par_ : ph_spine_);
+    segment(s, s + 1, entries, on_pool, on_pool ? ph_spine_par_ : ph_spine_);
   }
 
   // Down band: descent never leaves the subtree, so its distribution
@@ -727,8 +704,8 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
   // when the band carries most of a contended cycle's hops).
   const std::size_t down_work =
       band_entries(spine_hi, num_stages) * (num_stages - spine_hi);
-  segment(spine_hi, num_stages, pooled && down_work >= kMinParallelWork,
-          ph_down_);
+  segment(spine_hi, num_stages, down_work,
+          pooled && down_work >= kMinParallelWork, ph_down_);
 
   for (ShardState& st : shards_) {
     cycle_losses += st.losses;
@@ -746,8 +723,7 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
 /// is only ever written by the task of the shard that owns it. Pending
 /// indices equal the serial compaction's, so everything keyed by them
 /// (sorted lotteries, the RLB hash, the adaptive stagger) is unchanged;
-/// worklist order was already unobservable (see the stage_list_
-/// comment).
+/// worklist order was already unobservable (see ShardState::stage_list).
 template <typename ChanT, typename Compact>
 std::size_t CycleEngine::compact_pooled(const Compact& compact) {
   const std::size_t pending = ce_.size();
@@ -845,21 +821,15 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
   want_carried_ = observer != nullptr;
   carried_.assign(num_channels, 0);
   bucket_pos_.assign(num_channels, 0);
-  stage_list_.resize(graph_.num_stages);
-  for (auto& list : stage_list_) list.clear();
-  stage_touched_.resize(graph_.num_stages);
-  for (auto& t : stage_touched_) t.clear();
-  if (sharded_) {
-    shards_.resize(graph_.num_shards);
-    for (ShardState& st : shards_) {
-      st.stage_list.resize(graph_.num_stages);
-      for (auto& list : st.stage_list) list.clear();
-      st.stage_touched.resize(graph_.num_stages);
-      for (auto& t : st.stage_touched) t.clear();
-      st.outbox.clear();
-      st.losses = 0;
-      st.hops = 0;
-    }
+  shards_.resize(sharded_ ? graph_.num_shards : 1);
+  for (ShardState& st : shards_) {
+    st.stage_list.resize(graph_.num_stages);
+    for (auto& list : st.stage_list) list.clear();
+    st.stage_touched.resize(graph_.num_stages);
+    for (auto& t : st.stage_touched) t.clear();
+    st.outbox.clear();
+    st.losses = 0;
+    st.hops = 0;
   }
   chan_buf.clear();
   ce_.clear();
@@ -883,19 +853,16 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
   const auto* const stg = stage_table<ChanT>();
 
   // Routes one worklist seed (injection or retry rewind) to the owning
-  // shard's lists in sharded mode, or the global lists otherwise. The
-  // shard-table read is skipped entirely on the classic path. The global
-  // pointers are captured by value: the outer arrays were sized above and
-  // never move again this run, and value captures keep the per-message
-  // path in registers across the opaque push_back calls (a reference
-  // capture of `this` would force member reloads on every seed — the
-  // same hoisting rule as the fused stage sweeps).
+  // shard's lists; a one-shard run skips the shard-table read. The
+  // pointers are captured by value: shards_ was sized above and never
+  // moves again this run, and value captures keep the per-message path in
+  // registers across the opaque push_back calls (a reference capture of
+  // `this` would force member reloads on every seed — the same hoisting
+  // rule as the fused stage sweeps).
   const std::uint32_t* const shard_tbl =
       sharded_ ? graph_.shard.data() : nullptr;
-  auto seed_entry = [this, shard_tbl, stg, g_bp = bucket_pos_.data(),
-                     g_lst = stage_list_.data(),
-                     g_touch = stage_touched_.data()](std::uint32_t idx,
-                                                      std::uint32_t fc)
+  auto seed_entry = [shard_tbl, stg, g_bp = bucket_pos_.data(),
+                     sh = shards_.data()](std::uint32_t idx, std::uint32_t fc)
   // Forced inline for the same reason as fused_stage: the surrounding
   // function is big enough that the inliner otherwise leaves this as an
   // out-of-line call on every injected/retried message.
@@ -903,20 +870,14 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
                         __attribute__((always_inline))
 #endif
   {
-    auto* lst = g_lst;
-    auto* touch = g_touch;
-    if (shard_tbl != nullptr) {
-      ShardState& st = shards_[shard_tbl[fc]];
-      lst = st.stage_list.data();
-      touch = st.stage_touched.data();
-    }
+    ShardState& st = sh[shard_tbl != nullptr ? shard_tbl[fc] : 0];
     const std::uint32_t fs = stg[fc];
-    if (g_bp[fc]++ == 0) touch[fs].push_back(fc);
-    lst[fs].push_back(pack_entry(idx, fc));
+    if (g_bp[fc]++ == 0) st.stage_touched[fs].push_back(fc);
+    st.stage_list[fs].push_back(pack_entry(idx, fc));
   };
 
-  // Pooled compaction: sharded runs with more than one pool participant.
-  const bool pooled = sharded_ && pool_->size() > 1;
+  // Pooled compaction: sharded runs with a pool.
+  const bool pooled = pool_ != nullptr;
   // Retry policy and fault plan are sampled once per run; with both off
   // every loop below is the classic hot path (active_limit_ == limit_).
   const RetryPolicy& retry = opts_.retry;
@@ -1071,11 +1032,6 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     // engine.
     const std::uint64_t cycle_attempts = contenders;
     result.total_attempts += cycle_attempts;
-    // Bitmap-sort scratch covers every live message index; new words join
-    // zeroed and extraction keeps the rest zero.
-    if (sort_bits_.size() * 64 < pending_before) {
-      sort_bits_.resize((pending_before + 63) / 64, 0);
-    }
     if (trace) {
       for (std::size_t i = 0; i < pending_before; ++i) {
         if (retry_on && wake_[i] != cycle) continue;  // parked in backoff
@@ -1092,21 +1048,14 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     const ChanT* chan = chan_buf.data();
     std::uint64_t cycle_losses = 0;
     std::uint64_t cycle_hops = 0;
-    if (sharded_ && !sweep_free) {
-      run_cycle_sharded(chan, cycle, cycle_losses, cycle_hops);
-    } else {
-      // The serial sweep, or a fault-free tally's single pass over the
-      // live messages: timed as the serial (spine) band.
+    if (sweep_free) {
+      // A fault-free tally's single pass over the live messages: timed as
+      // the serial (spine) band.
       const auto st0 = time_phases_ ? PhaseClock::now() : cyc_t0;
-      if (sweep_free) {
-        tally_sweep(chan, cycle_hops);
-      } else {
-        for (std::uint32_t s = 0; s < graph_.num_stages; ++s) {
-          if (stage_list_[s].empty()) continue;
-          run_stage_serial(chan, cycle, s, cycle_losses, cycle_hops);
-        }
-      }
+      tally_sweep(chan, cycle_hops);
       if (time_phases_) ph_spine_ += phase_delta(st0, PhaseClock::now());
+    } else {
+      run_cycle_sharded(chan, cycle, cycle_losses, cycle_hops);
     }
 
     // Adaptive occupancy feedback, serial coordination path: fold this
@@ -1391,7 +1340,7 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
       observer != nullptr && observer->wants_latency_samples();
   lat_samples_.clear();
   time_phases_ = opts_.time_phases;
-  ph_up_ = ph_spine_ = ph_down_ = 0.0;
+  ph_spine_ = 0.0;
   double ph_coord = 0.0;
 
   // Dynamic faults evolve on the coordination path, once per round, just
@@ -1425,90 +1374,18 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
     }
   }
 
-  // Each round every channel forwards up to its capacity in FIFO order;
-  // arrivals are buffered so a message moves at most one hop per round.
-  // When tracing, each range logs its Hop/Deliver events; the serial
-  // merge below replays them in range (= ascending channel) order, so the
-  // event stream is identical at any thread count. Cache-line aligned:
-  // each range's scalars are rewritten by its worker every round, and
-  // adjacent elements of `outs` would otherwise share lines.
-  struct alignas(64) RangeOut {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> arrivals;
-    std::vector<MessageEvent> events;
-    std::vector<LatencySample> lat;
-    double latency_sum = 0.0;
-    std::uint32_t finished = 0;
-    std::uint64_t forwards = 0;
-    std::uint32_t max_queue = 0;
-    bool moved = false;
-  };
-
-  // Channel ranges are fixed for the whole run; arrivals are merged in
-  // range order, so queue contents are identical at any thread count.
-  std::size_t num_ranges = 1;
-  if (pool_ != nullptr && pool_->size() > 1) {
-    num_ranges = std::min<std::size_t>(pool_->size() * 2,
-                                       std::max<std::size_t>(1, num_channels));
-  }
-  const std::size_t range_len = (num_channels + num_ranges - 1) / num_ranges;
-  std::vector<RangeOut> outs(num_ranges);
-
-  auto process_range = [&](std::size_t r, std::uint32_t round) {
-    RangeOut& out = outs[r];
-    out.arrivals.clear();
-    out.events.clear();
-    out.lat.clear();
-    out.latency_sum = 0.0;
-    out.finished = 0;
-    out.forwards = 0;
-    out.max_queue = 0;
-    out.moved = false;
-    const std::size_t lo = r * range_len;
-    const std::size_t hi = std::min(num_channels, lo + range_len);
-    for (std::size_t lid = lo; lid < hi; ++lid) {
-      ChunkedRing& q = queues[lid];
-      const std::uint64_t cap = active_limit_[lid];
-      std::uint32_t forwarded = 0;
-      for (; forwarded < cap && !q.empty(); ++forwarded) {
-        const std::uint32_t msg = q.pop();
-        out.moved = true;
-        ++out.forwards;
-        if (trace) {
-          out.events.push_back({MessageEventKind::Hop, msg, round,
-                                static_cast<std::uint32_t>(lid)});
-        }
-        if (++pos[msg] == offs[msg + 1]) {
-          out.latency_sum += round;
-          ++out.finished;
-          // Finish round vs the path's contention-free round count: a
-          // message that never queued behind anyone has stretch 1.
-          if (lat_on) {
-            out.lat.push_back({round, offs[msg + 1] - offs[msg]});
-          }
-          if (trace) {
-            out.events.push_back({MessageEventKind::Deliver, msg, round,
-                                  static_cast<std::uint32_t>(lid)});
-          }
-        } else {
-          out.arrivals.emplace_back(chans[pos[msg]], msg);
-        }
-      }
-      carried_[lid] = forwarded;
-      out.max_queue = std::max(out.max_queue,
-                               static_cast<std::uint32_t>(q.size()));
-    }
-  };
+  // Each round every channel forwards up to its capacity in FIFO order,
+  // in ascending channel order (the order of its trace events and latency
+  // samples); arrivals are buffered so a message moves at most one hop
+  // per round.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> arrivals;
 
   while (in_flight > 0) {
     FT_CHECK_MSG(result.cycles < 0xffffffffULL,
                  "round index overflows 32-bit snapshot cycles");
     const auto round = static_cast<std::uint32_t>(result.cycles + 1);
     PhaseClock::time_point cyc_t0;
-    double sweep_before = 0.0;
-    if (time_phases_) {
-      cyc_t0 = PhaseClock::now();
-      sweep_before = ph_up_ + ph_spine_;
-    }
+    if (time_phases_) cyc_t0 = PhaseClock::now();
     if (lat_on) lat_samples_.clear();
     const FaultState::CycleFaults* cf = nullptr;
     if (faults) {
@@ -1535,50 +1412,57 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
     }
     PhaseClock::time_point sweep_t0;
     if (time_phases_) sweep_t0 = PhaseClock::now();
-    if (num_ranges > 1) {
-      pool_->run_tasks(num_ranges,
-                       [&](std::size_t r) { process_range(r, round); });
-    } else {
-      process_range(0, round);
-    }
-    if (time_phases_) {
-      // Pooled range processing is the FIFO mode's parallel band; the
-      // single-range sweep is serial.
-      const double dt = phase_delta(sweep_t0, PhaseClock::now());
-      (num_ranges > 1 ? ph_up_ : ph_spine_) += dt;
-    }
-
-    bool moved = false;
     std::uint32_t finished = 0;
     std::uint32_t round_peak = 0;
     std::uint64_t round_forwards = 0;
-    for (std::size_t r = 0; r < num_ranges; ++r) {
-      const RangeOut& out = outs[r];
-      moved = moved || out.moved;
-      finished += out.finished;
-      result.latency_sum += out.latency_sum;
-      round_forwards += out.forwards;
-      round_peak = std::max(round_peak, out.max_queue);
-      for (const auto& [lid, msg] : out.arrivals) queues[lid].push(msg);
-      // Ranges partition channels in ascending order, so this merge
-      // yields one deterministic (ascending final channel) sample order
-      // at any thread count.
-      if (lat_on) {
-        lat_samples_.insert(lat_samples_.end(), out.lat.begin(),
-                            out.lat.end());
-      }
-      if (trace) {
-        for (const MessageEvent& e : out.events) {
-          observer->on_message_event(e);
+    arrivals.clear();
+    for (std::size_t lid = 0; lid < num_channels; ++lid) {
+      ChunkedRing& q = queues[lid];
+      const std::uint64_t cap = active_limit_[lid];
+      std::uint32_t forwarded = 0;
+      for (; forwarded < cap && !q.empty(); ++forwarded) {
+        const std::uint32_t msg = q.pop();
+        if (trace) {
+          observer->on_message_event({MessageEventKind::Hop, msg, round,
+                                      static_cast<std::uint32_t>(lid)});
+        }
+        if (++pos[msg] == offs[msg + 1]) {
+          result.latency_sum += round;
+          ++finished;
+          // Finish round vs the path's contention-free round count: a
+          // message that never queued behind anyone has stretch 1.
+          if (lat_on) {
+            lat_samples_.push_back({round, offs[msg + 1] - offs[msg]});
+          }
+          if (trace) {
+            observer->on_message_event({MessageEventKind::Deliver, msg,
+                                        round,
+                                        static_cast<std::uint32_t>(lid)});
+          }
+        } else {
+          arrivals.emplace_back(chans[pos[msg]], msg);
         }
       }
+      round_forwards += forwarded;
+      carried_[lid] = forwarded;
+      round_peak =
+          std::max(round_peak, static_cast<std::uint32_t>(q.size()));
     }
+    for (const auto& [lid, msg] : arrivals) queues[lid].push(msg);
+    // The round's sweep is serial: it counts as spine.
+    double sweep_dt = 0.0;
+    if (time_phases_) {
+      sweep_dt = phase_delta(sweep_t0, PhaseClock::now());
+      ph_spine_ += sweep_dt;
+    }
+
     result.total_attempts += round_forwards;
     result.total_hops += round_forwards;
     // A round may legitimately stall while faults hold channels down; the
     // no-progress invariant only applies at full health.
-    FT_CHECK_MSG(moved || (cf != nullptr && cf->channels_down > 0),
-                 "FIFO engine made no progress");
+    FT_CHECK_MSG(
+        round_forwards > 0 || (cf != nullptr && cf->channels_down > 0),
+        "FIFO engine made no progress");
     result.max_queue = std::max(result.max_queue, round_peak);
     in_flight -= finished;
     result.delivered += finished;
@@ -1612,8 +1496,7 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
 
     if (time_phases_) {
       const double cyc = phase_delta(cyc_t0, PhaseClock::now());
-      const double sweep = (ph_up_ + ph_spine_) - sweep_before;
-      ph_coord += std::max(0.0, cyc - sweep);
+      ph_coord += std::max(0.0, cyc - sweep_dt);
     }
 
     if (opts_.max_cycles != 0 && result.cycles >= opts_.max_cycles &&
@@ -1634,9 +1517,7 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
     }
   }
   if (time_phases_) {
-    result.phases.up_seconds = ph_up_;
     result.phases.spine_seconds = ph_spine_;
-    result.phases.down_seconds = ph_down_;
     result.phases.coord_seconds = ph_coord;
     result.phases.timed_cycles = result.cycles;
   }

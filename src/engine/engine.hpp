@@ -21,13 +21,14 @@
 //   * Channel model — the ChannelGraph handed to the constructor
 //     (engine/fat_tree_model.hpp, nets/Network, kary/KaryTree adapters).
 //
-// Two executors run the lossy/tally cycle: the serial one, and on graphs
-// with a shard partition the subtree-sharded one, whose shards sweep
-// their own channels on a persistent thread pool. Both run the same stage
-// sweep (fused_stage), and results are identical: every random
-// arbitration draws from a private stream seeded by (seed, cycle,
-// channel), so no decision depends on thread scheduling. FIFO mode splits
-// its rounds into channel ranges, merged in channel-index order.
+// One executor runs the lossy/tally cycle: the subtree-sharded segment
+// loop, whose shards sweep their own channels (fused_stage), on a
+// persistent thread pool when the engine is parallel and the graph
+// carries a shard partition. A serial run is one shard swept inline.
+// Results are identical at every shard count and thread count: every
+// random arbitration draws from a private stream seeded by (seed, cycle,
+// channel), so no decision depends on sweep order or thread scheduling.
+// FIFO rounds always run serially.
 #pragma once
 
 #include <cstdint>
@@ -98,13 +99,14 @@ struct EngineOptions {
   std::uint32_t max_cycles = 0;
   /// Seed for RandomSubset arbitration streams.
   std::uint64_t seed = 0;
-  /// Run on a thread pool: the subtree-sharded executor when the graph
-  /// carries a shard partition (lossy/tally), channel-range rounds in
-  /// FIFO mode. A lossy/tally graph with no shard partition runs serially
-  /// and starts no pool. Identical results to serial mode at any thread
-  /// count.
+  /// Lossy/tally on a graph with a shard partition: sweep one shard per
+  /// subtree, on a thread pool when more than one worker is resolved.
+  /// Otherwise (serial, no shard partition, FIFO) the cycle runs as one
+  /// shard on the calling thread and no pool starts. Identical results
+  /// at any shard and thread count.
   bool parallel = false;
-  /// Worker threads for parallel mode (0 = hardware concurrency).
+  /// Worker threads for parallel mode (0 = hardware concurrency). One
+  /// worker starts no pool: the shards sweep on the calling thread.
   std::size_t threads = 0;
   /// Sharded executor only: sweep a heavy spine stage's shards on the
   /// thread pool instead of one after another on the coordinating thread
@@ -212,21 +214,35 @@ class CycleEngine {
     std::uint32_t count;
   };
 
-  /// Per-shard execution state for the subtree-sharded parallel mode: a
-  /// shard owns the worklists, arena and sort scratch of every channel the
-  /// graph's shard table assigns to it, so each segment of a cycle's sweep
-  /// runs shard-parallel with no shared mutable state. The outbox collects
-  /// survivors whose next channel belongs to another shard; the
-  /// coordinating thread distributes it between segments. Cache-line
-  /// aligned: neighbouring
-  /// shards' worklist headers and loss/hop counters are written by
-  /// different workers every cycle, and letting them share a line costs
-  /// real coherence traffic at high shard counts.
+  /// Per-shard execution state of the segment loop: a shard owns the
+  /// worklists, arena and sort scratch of every channel the graph's shard
+  /// table assigns to it (every channel, when the run is one shard), so
+  /// each segment of a cycle's sweep runs shard-parallel with no shared
+  /// mutable state. The outbox collects survivors whose next channel
+  /// belongs to another shard; the coordinating thread distributes it
+  /// between segments. Cache-line aligned: neighbouring shards' worklist
+  /// headers and loss/hop counters are written by different workers every
+  /// cycle, and letting them share a line costs real coherence traffic at
+  /// high shard counts.
   struct alignas(64) ShardState {
+    /// stage_list[s] holds the shard's live messages whose next channel
+    /// lies in stage s, packed as (msg << 32) | channel so bucket building
+    /// never re-derives the channel through the message table and the
+    /// CSR buffer. Seeded once per cycle from each message's first hop;
+    /// stage s arbitration appends its survivors directly to later stages
+    /// (paths have strictly increasing stages), so a cycle costs O(hops)
+    /// instead of O(stages × pending). List order is unobservable: a
+    /// later bucket either sorts its contenders before the lottery or is
+    /// under limit, where order decides nothing.
     std::vector<std::vector<std::uint64_t>> stage_list;
+    /// stage_touched[s]: the distinct channels of stage s with a nonzero
+    /// bucket count.
     std::vector<std::vector<std::uint32_t>> stage_touched;
     std::vector<std::uint32_t> arena;
     std::vector<OverBucket> over;
+    /// Bit-per-pending-message scratch for the bitmap sort of large
+    /// contended buckets (engine.cpp sort_by_bitmap). Kept all-zero
+    /// between uses: extraction clears each word it reads.
     std::vector<std::uint64_t> sort_bits;
     std::vector<std::uint64_t> outbox;  ///< packed (msg << 32) | channel
     std::uint64_t losses = 0;
@@ -240,9 +256,8 @@ class CycleEngine {
   template <typename ChanT>
   const auto* stage_table() const;
   /// The fused stage algorithm (bucket counting, arbitration, accounting,
-  /// survivor forwarding in two sweeps) over caller-owned scratch — the
-  /// one lossy stage sweep: run_stage_serial runs it on the global
-  /// worklists, the sharded executor on each shard's. Software-pipelined
+  /// survivor forwarding in two sweeps) over one shard's worklists and
+  /// scratch — the one lossy stage sweep. Software-pipelined
   /// (prefetching) on the wide u32 path only. `forward` is invoked as
   /// forward(msg, next_channel) for every surviving message with hops
   /// left and routes it to its next worklist.
@@ -264,16 +279,10 @@ class CycleEngine {
                    std::vector<std::uint64_t>& sort_bits,
                    std::uint64_t& cycle_losses, std::uint64_t& cycle_hops,
                    Forward&& forward);
-  /// fused_stage on the global worklists and scratch: one stage of the
-  /// serial executor.
-  template <typename ChanT>
-  void run_stage_serial(const ChanT* chan, std::uint32_t cycle,
-                        std::uint32_t stage, std::uint64_t& cycle_losses,
-                        std::uint64_t& cycle_hops);
-  /// One full cycle's stage sweep in subtree-sharded mode: a loop over
-  /// segments (the up band, each spine stage, the down band), each a
-  /// shard sweep followed by the serial outbox distribution, then a
-  /// per-shard counter reduction (see DESIGN.md, "Scale-out").
+  /// One full cycle's stage sweep: a loop over segments (the up band, each
+  /// spine stage, the down band), each a shard sweep followed by the
+  /// serial outbox distribution, then a per-shard counter reduction (see
+  /// DESIGN.md, "Scale-out"). One shard's up band covers every stage.
   template <typename ChanT>
   void run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
                          std::uint64_t& cycle_losses,
@@ -301,11 +310,11 @@ class CycleEngine {
   EngineOptions opts_;
   std::unique_ptr<ThreadPool> pool_;  ///< live for the engine's lifetime
 
-  /// Subtree-sharded parallel mode: engaged when the graph carries a
-  /// shard partition, the engine is parallel and the policy is lossy or
-  /// tally; the only lossy/tally mode that starts a pool. Serial and
-  /// sharded runs are bit-identical — every channel's contender set and
-  /// pinned (seed, cycle, channel) lottery are the same — so this is
+  /// One shard per subtree: engaged when the graph carries a shard
+  /// partition, the engine is parallel and the policy is lossy or tally;
+  /// otherwise shards_ holds one shard that owns every channel. One-shard
+  /// and sharded runs are bit-identical — every channel's contender set
+  /// and pinned (seed, cycle, channel) lottery are the same — so this is
   /// purely an execution strategy, not a model change.
   bool sharded_ = false;
   std::vector<ShardState> shards_;
@@ -376,31 +385,15 @@ class CycleEngine {
   /// shard (slot b * num_shards + shard).
   std::vector<std::uint32_t> block_rank_;
   std::vector<std::vector<std::uint64_t>> seed_stage_;
-  /// Serial-executor worklists: list s holds the live messages whose
-  /// next channel lies in stage s, packed as (msg << 32) | channel so
-  /// bucket building never re-derives the channel through the message
-  /// table and the CSR buffer.
-  /// Seeded once per cycle from each message's first hop; stage s
-  /// arbitration appends its survivors directly to later stages (paths
-  /// have strictly increasing stages), so a cycle costs O(hops) instead
-  /// of O(stages × pending). List order is unobservable: a later bucket
-  /// either sorts its contenders before the lottery or is under limit,
-  /// where order decides nothing.
-  std::vector<std::vector<std::uint64_t>> stage_list_;
 
   // Bucket state. Contender counts accumulate at the forward/seed sites
   // (channels partition across stages, so counts for a later stage are
   // stable by the time it runs): bucket_pos_[c] is the count of channel
   // c's contenders, then a fill cursor or under-limit sentinel during the
   // stage's sweep, and is reset to zero (sticky) when the stage ends.
-  // stage_touched_[s] lists the distinct channels of stage s with a
-  // nonzero count (the serial executor's; shards keep their own).
   // bucket_pos_ is shared: a channel's count is only written by the
   // shard that owns it, or by the coordinating thread between segments.
-  std::vector<std::vector<std::uint32_t>> stage_touched_;
   std::vector<std::uint32_t> bucket_pos_;
-  std::vector<std::uint32_t> arena_;
-  std::vector<OverBucket> over_;           ///< run_stage_serial scratch
   /// AdaptiveOccupancy state. over_pressure_[c] is set (by the sweep that
   /// arbitrated channel c — only c's owner ever does, so writes never
   /// race) when c's bucket ran over limit this cycle; the serial
@@ -415,11 +408,6 @@ class CycleEngine {
   std::vector<std::uint32_t> over_pressure_;
   std::vector<std::uint32_t> hot_streak_;
   std::vector<std::uint32_t> adaptive_scan_;
-  /// Bit-per-pending-message scratch for the serial executor's bitmap
-  /// sort of large contended buckets (engine.cpp sort_by_bitmap; each
-  /// shard has its own). Kept all-zero between uses: extraction clears
-  /// each word it reads.
-  std::vector<std::uint64_t> sort_bits_;
 
   /// carried_ is only observable through an observer's CycleSnapshot;
   /// without one — or on cycles the observer declines via

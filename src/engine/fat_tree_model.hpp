@@ -30,7 +30,8 @@ namespace ft {
 /// spine band; each spine node's pair belongs to the first shard below
 /// it. Only the root's external pair belongs to no shard. Must satisfy
 /// 1 <= shard_level < height when nonzero; 0 (the default) attaches no
-/// shard metadata, and a parallel lossy engine runs it serially.
+/// shard metadata, and a parallel lossy engine runs it as one shard on
+/// the calling thread.
 ChannelGraph fat_tree_channel_graph(const FatTreeTopology& topo,
                                     const CapacityProfile& caps,
                                     std::uint32_t shard_level = 0);

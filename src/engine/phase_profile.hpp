@@ -8,15 +8,14 @@
 namespace ft {
 
 /// Wall-clock decomposition of a timed run (EngineOptions::time_phases)
-/// into its parallelizable and inherently serial parts. In the sharded
-/// executor `up`/`down` cover the up- and down-band shard sweeps,
+/// into its parallelizable and inherently serial parts. In a sharded run
+/// `up`/`down` cover the up- and down-band shard sweeps,
 /// `spine_parallel` the spine stages swept on the thread pool
 /// (EngineOptions::parallel_spine), and `spine` the spine stages swept
-/// on the coordinating thread plus every serial outbox distribution. The
-/// serial executor's whole stage sweep counts as `spine`; FIFO rounds
-/// count pooled range processing as `up` and a single-range sweep as
-/// `spine`. `compact` is the sharded executor's block-parallel
-/// compaction and reseed of heavy cycles. `coord` is everything else in
+/// on the coordinating thread plus every serial outbox distribution. A
+/// one-shard run's whole stage sweep is serial and counts as `spine`, as
+/// do a fault-free tally pass and every FIFO round's sweep. `compact` is
+/// the block-parallel compaction and reseed of heavy pooled cycles. `coord` is everything else in
 /// the cycle loop — injection, serial compaction, fault bookkeeping,
 /// observer callbacks — which is serial in every mode.
 struct EnginePhaseProfile {

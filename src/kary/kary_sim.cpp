@@ -16,8 +16,6 @@ KarySimResult simulate_kary_permutation(const KaryTree& tree,
 
   EngineOptions eopts;
   eopts.contention = ContentionPolicy::Fifo;
-  eopts.parallel = opts.parallel;
-  eopts.threads = opts.threads;
   eopts.fault_plan = opts.fault_plan;
   eopts.time_phases = opts.time_phases;
 

@@ -33,15 +33,13 @@ struct KarySimResult {
 };
 
 struct KarySimOptions {
-  /// Forward links on a thread pool; results are identical to serial mode.
-  bool parallel = false;
-  std::size_t threads = 0;
   /// Optional per-round instrumentation (engine/observer.hpp). Not owned.
   EngineObserver* observer = nullptr;
   /// Optional transient-fault plan (not owned): a down link forwards
   /// nothing that round, its queue waits.
   const FaultPlan* fault_plan = nullptr;
-  /// Time pooled forwarding vs the serial band (KarySimResult::phases).
+  /// Time the forwarding sweeps vs the rest of each round
+  /// (KarySimResult::phases).
   bool time_phases = false;
 };
 

@@ -12,8 +12,6 @@ StoreForwardResult simulate_store_forward_stream(
     const StoreForwardOptions& opts) {
   EngineOptions eopts;
   eopts.contention = ContentionPolicy::Fifo;
-  eopts.parallel = opts.parallel;
-  eopts.threads = opts.threads;
   eopts.fault_plan = opts.fault_plan;
   eopts.max_cycles = opts.max_rounds;
   eopts.time_phases = opts.time_phases;

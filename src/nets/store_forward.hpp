@@ -37,9 +37,6 @@ struct StoreForwardResult {
 };
 
 struct StoreForwardOptions {
-  /// Forward links on a thread pool; results are identical to serial mode.
-  bool parallel = false;
-  std::size_t threads = 0;
   /// Optional per-round instrumentation (engine/observer.hpp). Not owned.
   EngineObserver* observer = nullptr;
   /// Optional transient-fault plan (not owned): a down link forwards
@@ -48,7 +45,7 @@ struct StoreForwardOptions {
   const FaultPlan* fault_plan = nullptr;
   /// Abort after this many rounds (0 = run to completion).
   std::uint32_t max_rounds = 0;
-  /// Time pooled range processing vs the serial band
+  /// Time the forwarding sweeps vs the rest of each round
   /// (StoreForwardResult::phases).
   bool time_phases = false;
 };

@@ -25,10 +25,14 @@ constexpr int kYieldIters = 16;
 
 }  // namespace
 
+std::size_t resolve_threads(std::size_t threads) {
+  return threads != 0
+             ? threads
+             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  threads = resolve_threads(threads);
   slots_ = std::vector<Slot>(threads + 1);  // + dispatcher slot
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
@@ -220,10 +224,7 @@ void parallel_for(std::size_t begin, std::size_t end,
                   std::size_t threads) {
   if (end <= begin) return;
   const std::size_t count = end - begin;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  threads = std::min(threads, count);
+  threads = std::min(resolve_threads(threads), count);
   if (threads <= 1 || count <= 1) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;

@@ -28,6 +28,10 @@
 
 namespace ft {
 
+/// The worker count a `threads` setting asks for: itself, or
+/// hardware_concurrency (at least 1) when it is 0.
+std::size_t resolve_threads(std::size_t threads);
+
 class ThreadPool {
  public:
   /// threads == 0 means hardware_concurrency (at least 1).

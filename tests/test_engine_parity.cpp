@@ -1,8 +1,8 @@
 // Parity tests for the unified delivery-cycle engine: every old-API entry
 // point must produce identical results in serial and parallel mode (the
-// engine's per-(seed, cycle, channel) arbitration streams and fixed FIFO
-// channel ranges make thread scheduling invisible), and the offline replay
-// must reproduce a schedule exactly.
+// engine's per-(seed, cycle, channel) arbitration streams make shard
+// count and thread scheduling invisible), and the offline replay must
+// reproduce a schedule exactly.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -13,10 +13,6 @@
 #include "core/traffic.hpp"
 #include "engine/engine.hpp"
 #include "engine/fat_tree_model.hpp"
-#include "kary/kary_sim.hpp"
-#include "nets/builders.hpp"
-#include "nets/routing.hpp"
-#include "nets/store_forward.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -69,44 +65,6 @@ TEST(EngineParity, OnlineDeterministicAcrossRuns) {
   const auto b = run_online(t, caps, m, 1.0, false);
   EXPECT_EQ(a.delivery_cycles, b.delivery_cycles);
   EXPECT_EQ(a.delivered_per_cycle, b.delivered_per_cycle);
-}
-
-TEST(EngineParity, StoreForwardSerialEqualsParallel) {
-  const auto net = build_hypercube(6);
-  Rng traffic(22);
-  const auto m = random_permutation_traffic(64, traffic);
-  const auto routes = route_all_bfs(net, m);
-
-  const auto serial = simulate_store_forward(net, routes);
-  StoreForwardOptions popts;
-  popts.parallel = true;
-  const auto parallel = simulate_store_forward(net, routes, popts);
-
-  EXPECT_EQ(serial.rounds, parallel.rounds);
-  EXPECT_EQ(serial.total_hops, parallel.total_hops);
-  EXPECT_EQ(serial.max_queue, parallel.max_queue);
-  EXPECT_DOUBLE_EQ(serial.mean_latency, parallel.mean_latency);
-}
-
-TEST(EngineParity, KarySerialEqualsParallel) {
-  KaryTree tree(4, 3);  // 64 processors
-  Rng perm_rng(31);
-  std::vector<std::uint32_t> perm(tree.num_processors());
-  std::iota(perm.begin(), perm.end(), 0u);
-  perm_rng.shuffle(perm);
-
-  Rng r1(33), r2(33);  // identical routing decisions in both runs
-  const auto serial =
-      simulate_kary_permutation(tree, perm, AscentPolicy::Random, r1);
-  KarySimOptions popts;
-  popts.parallel = true;
-  const auto parallel =
-      simulate_kary_permutation(tree, perm, AscentPolicy::Random, r2, popts);
-
-  EXPECT_EQ(serial.rounds, parallel.rounds);
-  EXPECT_EQ(serial.max_link_load, parallel.max_link_load);
-  EXPECT_DOUBLE_EQ(serial.mean_link_load, parallel.mean_link_load);
-  EXPECT_EQ(serial.max_route_hops, parallel.max_route_hops);
 }
 
 TEST(EngineParity, ReplayReproducesSchedule) {
@@ -195,8 +153,7 @@ TEST(EngineParity, MetricsObserverMatchesResult) {
 }
 
 // The traced event stream must be byte-identical in serial and parallel
-// mode: lossy events are derived on the coordinating thread, and FIFO
-// per-range event logs are replayed in ascending-channel range order.
+// mode: lossy events are derived on the coordinating thread.
 TEST(EngineParity, LossyTraceSerialEqualsParallel) {
   const std::uint32_t n = 128;
   FatTreeTopology t(n);
@@ -292,11 +249,11 @@ TEST(EngineParity, TransientFaultsSerialEqualsParallel) {
 }
 
 // Every routing discipline in the zoo must preserve the engine's
-// serial ≡ parallel contract across all executors: parallel on the
-// unsharded graph (which runs the serial sweep), subtree-sharded with the
-// parallel spine, and sharded with the serial spine must all reproduce
-// the serial run bit for bit — counters and the full traced event
-// stream. The wire-selecting policies (dmod, rlb) pick
+// serial ≡ parallel contract at every shard count: parallel on the
+// unsharded graph (one shard, no pool), subtree-sharded with the
+// parallel spine, sharded with the serial spine, and sharded with one
+// thread (no pool, shards swept inline) must all reproduce the serial
+// run bit for bit — counters and the full traced event stream. The wire-selecting policies (dmod, rlb) pick
 // winners by pending index and hashed wire claims, the adaptive policy
 // folds its occupancy feedback on the coordinating thread only; none of
 // it may depend on thread count.
@@ -317,12 +274,14 @@ TEST(EngineParity, RoutingPoliciesSerialEqualsParallel) {
     bool parallel;
     std::uint32_t shard_level;
     bool parallel_spine;
+    std::size_t threads = 0;
   };
   const Executor executors[] = {
       {"serial", false, kShardLevelAuto, true},
       {"parallel-unsharded", true, 0, true},
       {"parallel-sharded", true, kShardLevelAuto, true},
       {"parallel-serial-spine", true, kShardLevelAuto, false},
+      {"parallel-1-thread", true, kShardLevelAuto, true, 1},
   };
 
   for (const RoutingPolicy pol :
@@ -339,6 +298,7 @@ TEST(EngineParity, RoutingPoliciesSerialEqualsParallel) {
       opts.parallel = ex.parallel;
       opts.shard_level = ex.shard_level;
       opts.parallel_spine = ex.parallel_spine;
+      opts.threads = ex.threads;
       opts.observer = &trace;
       results.push_back(route_online(t, caps, m, rng, opts));
       streams.push_back(trace.message_events());
@@ -455,30 +415,6 @@ TEST(EngineParity, SubtreeKillGoldenTimelines) {
     EXPECT_EQ(prints[0], g.event_fingerprint)
         << "plan seed " << g.plan_seed;
   }
-}
-
-TEST(EngineParity, FifoTraceSerialEqualsParallel) {
-  const auto net = build_hypercube(6);
-  Rng traffic(81);
-  const auto m = random_permutation_traffic(64, traffic);
-  const auto routes = route_all_bfs(net, m);
-
-  std::vector<std::vector<MessageEvent>> streams;
-  for (const bool parallel : {false, true}) {
-    TraceSink trace;
-    StoreForwardOptions opts;
-    opts.parallel = parallel;
-    opts.observer = &trace;
-    const auto r = simulate_store_forward(net, routes, opts);
-
-    std::uint64_t hops = 0;
-    for (const MessageEvent& e : trace.message_events()) {
-      if (e.kind == MessageEventKind::Hop) ++hops;
-    }
-    EXPECT_EQ(hops, r.total_hops);
-    streams.push_back(trace.message_events());
-  }
-  EXPECT_EQ(streams[0], streams[1]);
 }
 
 }  // namespace

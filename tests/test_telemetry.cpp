@@ -439,6 +439,13 @@ TEST(Telemetry, PhaseProfileMeasuresWhenEnabled) {
   EXPECT_GT(r.phases.up_seconds + r.phases.spine_seconds +
                 r.phases.down_seconds + r.phases.coord_seconds,
             0.0);
+  // A serial run's sweep is one shard on the calling thread: serial work,
+  // reported as spine, with nothing in the parallel bands.
+  EXPECT_GT(r.phases.spine_seconds, 0.0);
+  EXPECT_EQ(r.phases.up_seconds, 0.0);
+  EXPECT_EQ(r.phases.down_seconds, 0.0);
+  EXPECT_EQ(r.phases.spine_parallel_seconds, 0.0);
+  EXPECT_EQ(r.phases.compact_seconds, 0.0);
 
   // Off by default: an untimed run reports an all-zero profile.
   Rng rng2(48);
