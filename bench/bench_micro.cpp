@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): throughput of the inner kernels —
 // LCA/path iteration, load computation, the matching+tracing even split,
-// whole-schedule construction, Hopcroft–Karp concentrator routing, and
+// whole-schedule construction (offline, packed, greedy) and replay,
+// Hopcroft–Karp concentrator routing, and
 // the cutting-plane decomposition. After the registered benchmarks run,
 // main() times the delivery-cycle engine (serial: one shard on the
 // calling thread; then sharded per thread count) and writes the
@@ -21,6 +22,7 @@
 #include "core/load.hpp"
 #include "core/offline_scheduler.hpp"
 #include "core/online_router.hpp"
+#include "core/replay.hpp"
 #include "core/traffic.hpp"
 #include "engine/engine.hpp"
 #include "engine/fat_tree_model.hpp"
@@ -150,7 +152,54 @@ void BM_ScheduleOffline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(m.size()));
 }
-BENCHMARK(BM_ScheduleOffline)->Arg(256)->Arg(1024);
+BENCHMARK(BM_ScheduleOffline)->Arg(256)->Arg(1024)->Arg(16384);
+
+// The shape of a heavy replay_offline job: one random permutation on n
+// leaves, root capacity w = n / 4.
+struct PermutationJob {
+  explicit PermutationJob(std::uint32_t n)
+      : topo(n), caps(ft::CapacityProfile::universal(topo, n / 4)) {
+    ft::Rng rng(17);
+    m = ft::random_permutation_traffic(n, rng);
+  }
+  ft::FatTreeTopology topo;
+  ft::CapacityProfile caps;
+  ft::MessageSet m;
+};
+
+template <typename Scheduler>
+void schedule_permutation(benchmark::State& state, Scheduler schedule) {
+  const PermutationJob job(static_cast<std::uint32_t>(state.range(0)));
+  for (auto _ : state) {
+    auto s = schedule(job.topo, job.caps, job.m);
+    benchmark::DoNotOptimize(s.cycles.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(job.m.size()));
+}
+
+void BM_SchedulePacked(benchmark::State& state) {
+  schedule_permutation(state, ft::schedule_offline_packed);
+}
+BENCHMARK(BM_SchedulePacked)->Arg(16384);
+
+void BM_ScheduleGreedy(benchmark::State& state) {
+  schedule_permutation(state, ft::schedule_greedy);
+}
+BENCHMARK(BM_ScheduleGreedy)->Arg(16384);
+
+// Replay of the offline schedule, the job's second layer.
+void BM_ReplaySchedule(benchmark::State& state) {
+  const PermutationJob job(static_cast<std::uint32_t>(state.range(0)));
+  const ft::Schedule s = ft::schedule_offline(job.topo, job.caps, job.m);
+  for (auto _ : state) {
+    const auto r = ft::replay_schedule(job.topo, job.caps, s);
+    benchmark::DoNotOptimize(r.capacity_violations);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(job.m.size()));
+}
+BENCHMARK(BM_ReplaySchedule)->Arg(16384);
 
 void BM_ConcentratorRoute(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));

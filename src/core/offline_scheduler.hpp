@@ -47,7 +47,8 @@ struct EvenSplit {
 /// Splits a set of messages that all cross node `v` in the same direction
 /// (every message's LCA is v, and all sources lie in the same child
 /// subtree) so that every channel's load divides as ceil/floor.
-/// Exposed for testing; schedule_offline() uses it internally.
+/// Exposed for testing; the schedulers run the same split on ranges of
+/// message indices, reusing one scratch across every split of a call.
 EvenSplit split_crossing_messages(const FatTreeTopology& topo, NodeId v,
                                   const MessageSet& crossing);
 

@@ -91,13 +91,14 @@ ReuseScheduleResult schedule_reuse(const FatTreeTopology& topo,
   // overflow set and schedule that with Theorem 1. When the Corollary 2
   // premise holds this moves nothing.
   MessageSet overflow;
-  CycleLoads loads(topo);
+  const CapacityTable table(topo, caps);
+  CycleLoads loads(table);
   for (auto& cycle : cycles) {
     loads.reset();
     MessageSet kept;
     kept.reserve(cycle.size());
     for (const auto& msg : cycle) {
-      if (loads.try_add_one(topo, caps, msg, /*commit=*/true)) {
+      if (loads.try_add_one(msg, /*commit=*/true)) {
         kept.push_back(msg);
       } else {
         overflow.push_back(msg);
