@@ -4,11 +4,22 @@
 #include <bit>
 #include <chrono>
 #include <memory>
+#include <type_traits>
+#include <utility>
 
 #include "engine/channel_scan.hpp"
 #include "engine/chunked_ring.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
+
+// Inlining control for the hot path; each use says why.
+#if defined(__GNUC__) || defined(__clang__)
+#define FT_ALWAYS_INLINE __attribute__((always_inline))
+#define FT_NOINLINE __attribute__((noinline))
+#else
+#define FT_ALWAYS_INLINE
+#define FT_NOINLINE
+#endif
 
 namespace ft {
 namespace {
@@ -169,9 +180,7 @@ inline std::uint32_t entry_chan(std::uint64_t e) {
 /// compiler has no builtin. Forced inline: GCC's IPA pass otherwise finds
 /// an out-of-line copy free of side effects and deletes every call.
 #if defined(__GNUC__) || defined(__clang__)
-__attribute__((always_inline)) inline void prefetch(const void* p) {
-  __builtin_prefetch(p);
-}
+FT_ALWAYS_INLINE inline void prefetch(const void* p) { __builtin_prefetch(p); }
 #else
 inline void prefetch(const void*) {}
 #endif
@@ -182,6 +191,39 @@ inline void prefetch(const void*) {}
 using PhaseClock = std::chrono::steady_clock;
 inline double phase_delta(PhaseClock::time_point a, PhaseClock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
+}
+
+/// One timed phase: adds the wall time from construction to destruction
+/// to `acc` when timing is on, and costs one branch when it is off.
+class PhaseSpan {
+ public:
+  PhaseSpan(bool on, double& acc) : acc_(on ? &acc : nullptr) {
+    if (acc_ != nullptr) t0_ = PhaseClock::now();
+  }
+  ~PhaseSpan() {
+    if (acc_ != nullptr) *acc_ += phase_delta(t0_, PhaseClock::now());
+  }
+  PhaseSpan(const PhaseSpan&) = delete;
+  PhaseSpan& operator=(const PhaseSpan&) = delete;
+
+ private:
+  double* acc_;
+  PhaseClock::time_point t0_;
+};
+
+/// Injection-time path validation against the engine's check table (see
+/// CycleEngine::check_tbl_): every hop must name a known channel and, when
+/// `staged`, the stages must strictly increase.
+inline void check_path(const std::uint32_t* tbl, std::uint32_t num_channels,
+                       const std::uint32_t* hop, const std::uint32_t* end,
+                       bool staged) {
+  std::uint32_t prev = 0;
+  for (; hop != end; ++hop) {
+    const std::uint32_t v = *hop < num_channels ? tbl[*hop] : 0;
+    FT_CHECK_MSG(v != 0, "path uses an unknown channel");
+    FT_CHECK_MSG(!staged || v > prev, "path stages must strictly increase");
+    prev = v;
+  }
 }
 
 }  // namespace
@@ -202,25 +244,18 @@ class BatchFeed {
 
 namespace {
 
-/// Materialized batches: batch i is injected at cycle i + 1, one per
-/// cycle (the run() / run_batched() entry points).
-class VectorFeed final : public BatchFeed {
+/// One materialized batch, injected at cycle 1 (run()).
+class SingleBatchFeed final : public BatchFeed {
  public:
-  VectorFeed(const PathSet* const* batches, std::size_t count)
-      : batches_(batches), count_(count) {}
+  explicit SingleBatchFeed(const PathSet& batch) : batch_(&batch) {}
 
-  const PathSet* next(std::uint32_t cycle) override {
-    if (next_ >= count_ || cycle == last_cycle_) return nullptr;
-    last_cycle_ = cycle;
-    return batches_[next_++];
+  const PathSet* next(std::uint32_t) override {
+    return std::exchange(batch_, nullptr);
   }
-  bool exhausted() const override { return next_ >= count_; }
+  bool exhausted() const override { return batch_ == nullptr; }
 
  private:
-  const PathSet* const* batches_;
-  std::size_t count_;
-  std::size_t next_ = 0;
-  std::uint32_t last_cycle_ = 0;
+  const PathSet* batch_;
 };
 
 /// Streams every chunk of a MessageSource into cycle 1 (run_stream). One
@@ -384,8 +419,7 @@ EngineResult CycleEngine::run(const PathSet& paths, EngineObserver* observer) {
     return run_fifo(paths, observer);
   }
   if (paths.empty()) return {};
-  const PathSet* one = &paths;
-  VectorFeed feed(&one, 1);
+  SingleBatchFeed feed(paths);
   return run_lossy(feed, observer);
 }
 
@@ -409,17 +443,6 @@ EngineResult CycleEngine::run_batched_stream(MessageSource& source,
   FT_CHECK_MSG(opts_.contention != ContentionPolicy::Fifo,
                "batched injection requires a lossy or tally policy");
   StreamBatchFeed feed(source);
-  return run_lossy(feed, observer);
-}
-
-EngineResult CycleEngine::run_batched(const std::vector<PathSet>& batches,
-                                      EngineObserver* observer) {
-  FT_CHECK_MSG(opts_.contention != ContentionPolicy::Fifo,
-               "batched injection requires a lossy or tally policy");
-  std::vector<const PathSet*> ptrs;
-  ptrs.reserve(batches.size());
-  for (const PathSet& b : batches) ptrs.push_back(&b);
-  VectorFeed feed(ptrs.data(), ptrs.size());
   return run_lossy(feed, observer);
 }
 
@@ -664,20 +687,18 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
   auto segment = [&](std::uint32_t s_begin, std::uint32_t s_end,
                      std::size_t work, bool on_pool, double& sweep_acc) {
     if (work == 0) return;
-    PhaseClock::time_point t0, t1;
-    if (time_phases_) t0 = PhaseClock::now();
-    auto sweep = [&](std::size_t sh) {
-      run_band(shards_[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
-    };
-    if (on_pool) {
-      pool_->run_tasks(num_shards, sweep);
-    } else {
-      for (std::size_t sh = 0; sh < num_shards; ++sh) sweep(sh);
+    {
+      const PhaseSpan span(time_phases_, sweep_acc);
+      auto sweep = [&](std::size_t sh) {
+        run_band(shards_[sh], static_cast<std::uint32_t>(sh), s_begin, s_end);
+      };
+      if (on_pool) {
+        pool_->run_tasks(num_shards, sweep);
+      } else {
+        for (std::size_t sh = 0; sh < num_shards; ++sh) sweep(sh);
+      }
     }
-    if (time_phases_) {
-      t1 = PhaseClock::now();
-      sweep_acc += phase_delta(t0, t1);
-    }
+    const PhaseSpan span(time_phases_, ph_spine_);
     std::uint32_t* const bp = bucket_pos_.data();
     for (ShardState& st : shards_) {
       for (const std::uint64_t e : st.outbox) {
@@ -689,7 +710,6 @@ void CycleEngine::run_cycle_sharded(const ChanT* chan, std::uint32_t cycle,
       }
       st.outbox.clear();
     }
-    if (time_phases_) ph_spine_ += phase_delta(t1, PhaseClock::now());
   };
 
   // A segment goes to the pool when its work reaches kMinParallelWork;
@@ -841,20 +861,12 @@ void CycleEngine::tally_sweep(const ChanT* chan, std::uint64_t& cycle_hops,
   cycle_violations += over;
 }
 
+/// The hop-width-independent part of a lossy/tally run: the per-run
+/// setup and reset of every message, worklist and feedback buffer, and the
+/// give-up events of a run cut short by max_cycles.
 EngineResult CycleEngine::run_lossy(BatchFeed& feed, EngineObserver* observer) {
-  if (narrow_) {
-    return run_lossy_t<std::uint16_t>(chan_buf16_, feed, observer);
-  }
-  return run_lossy_t<std::uint32_t>(chan_buf_, feed, observer);
-}
-
-template <typename ChanT>
-EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
-                                      BatchFeed& feed,
-                                      EngineObserver* observer) {
-  EngineResult result;
+  const RunFrame run = begin_run(observer);
   const std::size_t num_channels = graph_.num_channels();
-  want_carried_ = observer != nullptr;
   carried_.assign(num_channels, 0);
   bucket_pos_.assign(num_channels, 0);
   shards_.resize(sharded_ ? graph_.num_shards : 1);
@@ -868,7 +880,6 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
     st.hops = 0;
     st.violations = 0;
   }
-  chan_buf.clear();
   ce_.clear();
   begin_.clear();
   id_.clear();
@@ -876,80 +887,48 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
   attempts_.clear();
   wake_.clear();
   inject_cycle_.clear();
-  lat_samples_.clear();
-
-  // Message-event tracing and latency sampling are sampled once per run;
-  // when off, the only cost below is one predictable branch per cycle.
-  const bool trace = observer != nullptr && observer->wants_message_events();
-  const bool lat_on =
-      observer != nullptr && observer->wants_latency_samples();
-  time_phases_ = opts_.time_phases;
-  ph_up_ = ph_spine_ = ph_spine_par_ = ph_down_ = ph_compact_ = 0.0;
-  double ph_coord = 0.0;
-  std::uint32_t next_id = 0;
-  const auto* const stg = stage_table<ChanT>();
-
-  // Routes one worklist seed (injection or retry rewind) to the owning
-  // shard's lists; a one-shard run skips the shard-table read. The
-  // pointers are captured by value: shards_ was sized above and never
-  // moves again this run, and value captures keep the per-message path in
-  // registers across the opaque push_back calls (a reference capture of
-  // `this` would force member reloads on every seed — the same hoisting
-  // rule as the fused stage sweeps).
-  const std::uint32_t* const shard_tbl =
-      sharded_ ? graph_.shard.data() : nullptr;
-  auto seed_entry = [shard_tbl, stg, g_bp = bucket_pos_.data(),
-                     sh = shards_.data()](std::uint32_t idx, std::uint32_t fc)
-  // Forced inline for the same reason as fused_stage: the surrounding
-  // function is big enough that the inliner otherwise leaves this as an
-  // out-of-line call on every injected/retried message.
-#if defined(__GNUC__) || defined(__clang__)
-                        __attribute__((always_inline))
-#endif
-  {
-    ShardState& st = sh[shard_tbl != nullptr ? shard_tbl[fc] : 0];
-    const std::uint32_t fs = stg[fc];
-    if (g_bp[fc]++ == 0) st.stage_touched[fs].push_back(fc);
-    st.stage_list[fs].push_back(pack_entry(idx, fc));
-  };
-
-  // Pooled compaction: sharded runs with a pool.
-  const bool pooled = pool_ != nullptr;
-  // Retry policy and fault plan are sampled once per run; with both off
-  // every loop below is the classic hot path (active_limit_ == limit_).
-  const RetryPolicy& retry = opts_.retry;
-  // AdaptiveOccupancy parks losers of persistently hot channels through
-  // the retry machinery, so it forces the retry-aware compaction path
-  // even under the default (never-dropping) RetryPolicy: adaptive only
-  // ever adds delay, never drops on its own.
-  const bool adaptive_on =
-      opts_.policy == RoutingPolicy::AdaptiveOccupancy &&
-      opts_.contention == ContentionPolicy::RandomSubset;
-  const bool retry_on = retry.enabled() || adaptive_on;
-  if (adaptive_on) {
+  if (opts_.policy == RoutingPolicy::AdaptiveOccupancy) {
     over_pressure_.assign(num_channels, 0);
     hot_streak_.assign(num_channels, 0);
   }
-  std::unique_ptr<FaultState> faults;
+  EngineResult result =
+      narrow_ ? run_lossy_t<std::uint16_t>(chan_buf16_, feed, run)
+              : run_lossy_t<std::uint32_t>(chan_buf_, feed, run);
+  if (result.gave_up && run.trace) {
+    const auto last_cycle = static_cast<std::uint32_t>(result.cycles);
+    for (const std::uint32_t id : id_) {
+      observer->on_message_event(
+          {MessageEventKind::GiveUp, id, last_cycle, kNoChannel});
+    }
+  }
+  return result;
+}
+
+CycleEngine::RunFrame CycleEngine::begin_run(EngineObserver* observer) {
+  RunFrame run;
+  run.observer = observer;
+  // Message-event tracing and latency sampling are sampled once per run;
+  // when off, the only cost is one predictable branch per cycle.
+  run.trace = observer != nullptr && observer->wants_message_events();
+  run.lat_on = observer != nullptr && observer->wants_latency_samples();
+  // Faults evolve on the coordination path, once per cycle. Without a
+  // plan every arbitration site reads limit_: the classic hot path.
   if (opts_.fault_plan != nullptr && !opts_.fault_plan->empty()) {
-    faults = std::make_unique<FaultState>(*opts_.fault_plan, graph_);
+    run.faults = std::make_unique<FaultState>(*opts_.fault_plan, graph_);
   }
   active_limit_ = limit_.data();
-  // Fault-free tally: every limit is 2^32 - 1 and nothing can lower it,
-  // so every seeded message crosses all of its hops in the cycle it is
-  // seeded. Such runs build no worklists and run tally_sweep in place of
-  // the stage sweep.
-  const bool sweep_free =
-      opts_.contention == ContentionPolicy::Tally && faults == nullptr;
-  // A faulted tally counts its violations from carried_ after each stage
-  // sweep (run_cycle_sharded), so it writes occupancy on every cycle.
-  const bool faulted_tally =
-      opts_.contention == ContentionPolicy::Tally && faults != nullptr;
-  // Messages seeded to contend in the current cycle; equals pending when
-  // no retry policy parks anyone.
-  std::uint64_t contenders = 0;
+  lat_samples_.clear();
+  time_phases_ = opts_.time_phases;
+  ph_up_ = ph_spine_ = ph_spine_par_ = ph_down_ = ph_compact_ = 0.0;
+  return run;
+}
 
-  while (!feed.exhausted() || !ce_.empty()) {
+template <typename Pending, typename Body>
+void CycleEngine::cycle_loop(const RunFrame& run, EngineResult& result,
+                             const Pending& pending, const Body& body) {
+  EngineObserver* const observer = run.observer;
+  double ph_coord = 0.0;
+  while (pending()) {
     // The arbitration stream folds the cycle index into 32 bits of the
     // seed; widening it would change every golden, so the engine gives up
     // loudly at the domain edge instead (EngineResult::cycles itself is
@@ -958,30 +937,25 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
                  "cycle index overflows the 32-bit arbitration-seed domain");
     const auto cycle = static_cast<std::uint32_t>(result.cycles + 1);
     PhaseClock::time_point cyc_t0;
-    double sweep_before = 0.0;
+    double timed_before = 0.0;
     if (time_phases_) {
       cyc_t0 = PhaseClock::now();
-      sweep_before = timed_sum();
+      timed_before = timed_sum();
     }
-    if (lat_on) lat_samples_.clear();
-    // Channel-state (carried) bookkeeping is consulted per cycle so a
-    // sampling observer only pays the O(channels) occupancy clear and
-    // snapshot on the cycles it keeps.
+    if (run.lat_on) lat_samples_.clear();
+    // Channel state is consulted per cycle, so a sampling observer only
+    // pays for the occupancy bookkeeping on the cycles it keeps.
     const bool show_carried =
         observer != nullptr && observer->wants_channel_state(cycle);
-    want_carried_ = show_carried || faulted_tally;
-    std::uint32_t delivered_now = 0;
-    std::uint32_t backoffs_now = 0;
-    std::uint32_t gave_up_now = 0;
     const FaultState::CycleFaults* cf = nullptr;
-    if (faults) {
-      cf = &faults->begin_cycle(cycle, limit_);
-      active_limit_ = faults->eff_limit().data();
+    if (run.faults) {
+      cf = &run.faults->begin_cycle(cycle, limit_);
+      active_limit_ = run.faults->eff_limit().data();
       result.fault_down_events += cf->went_down.size();
       result.fault_up_events += cf->came_up.size();
       result.subtree_kill_events += cf->killed_nodes.size();
       result.degraded_channel_cycles += cf->degraded_channels;
-      if (trace) {
+      if (run.trace) {
         for (const std::uint32_t node : cf->killed_nodes) {
           observer->on_message_event(
               {MessageEventKind::SubtreeKill, kNoMessage, cycle, node});
@@ -996,18 +970,143 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
         }
       }
     }
+
+    const CycleCounts n = body(cycle, cf, show_carried);
+    ++result.cycles;
+    result.total_attempts += n.attempts;
+    result.total_losses += n.losses;
+    result.total_hops += n.hops;
+    result.delivered += n.delivered;
+    result.delivered_per_cycle.push_back(n.delivered);
+    result.total_backoffs += n.backoffs;
+    result.messages_given_up += n.gave_up;
+    result.max_queue = std::max(result.max_queue, n.peak_queue);
+
+    if (observer != nullptr) {
+      CycleSnapshot snap;
+      snap.cycle = cycle;
+      snap.pending_before = n.pending_before;
+      snap.delivered = n.delivered;
+      snap.attempts = n.attempts;
+      snap.losses = n.losses;
+      snap.peak_queue = n.peak_queue;
+      if (cf != nullptr) {
+        snap.faults_down = static_cast<std::uint32_t>(cf->went_down.size());
+        snap.faults_up = static_cast<std::uint32_t>(cf->came_up.size());
+        snap.subtree_kills =
+            static_cast<std::uint32_t>(cf->killed_nodes.size());
+        snap.channels_down = cf->channels_down;
+        snap.degraded_channels = cf->degraded_channels;
+      }
+      snap.backoffs = n.backoffs;
+      snap.gave_up = n.gave_up;
+      snap.carried = show_carried ? &carried_ : nullptr;
+      snap.latencies = run.lat_on ? &lat_samples_ : nullptr;
+      snap.graph = &graph_;
+      observer->on_cycle(snap);
+    }
+
+    if (time_phases_) {
+      // Everything this cycle spent outside the timed phases — injection,
+      // serial compaction, fault bookkeeping, observer callbacks — is
+      // serial coordination. Clamped at zero against clock jitter.
+      const double cyc = phase_delta(cyc_t0, PhaseClock::now());
+      ph_coord += std::max(0.0, cyc - (timed_sum() - timed_before));
+    }
+
+    if (opts_.max_cycles != 0 && result.cycles >= opts_.max_cycles &&
+        pending()) {
+      result.gave_up = true;
+      break;
+    }
+  }
+  if (time_phases_) {
+    result.phases.up_seconds = ph_up_;
+    result.phases.spine_seconds = ph_spine_;
+    result.phases.spine_parallel_seconds = ph_spine_par_;
+    result.phases.down_seconds = ph_down_;
+    result.phases.compact_seconds = ph_compact_;
+    result.phases.coord_seconds = ph_coord;
+    result.phases.timed_cycles = result.cycles;
+  }
+}
+
+/// The lossy/tally cycle body, in the order a message meets it: inject
+/// (this cycle's batches), sweep (every contender crosses its path or
+/// loses at the first channel whose lottery it loses), feedback
+/// (AdaptiveOccupancy's hot streaks) and compact (survivors delivered,
+/// losers rewound and reseeded for the next cycle).
+template <typename ChanT>
+EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
+                                      BatchFeed& feed, const RunFrame& run) {
+  EngineResult result;
+  EngineObserver* const observer = run.observer;
+  const bool trace = run.trace;
+  const bool lat_on = run.lat_on;
+  chan_buf.clear();
+  std::uint32_t next_id = 0;
+  const auto* const stg = stage_table<ChanT>();
+
+  // Routes one worklist seed (injection or retry rewind) to the owning
+  // shard's lists; a one-shard run skips the shard-table read. The
+  // pointers are captured by value: run_lossy sized shards_ and it never
+  // moves again this run, and value captures keep the per-message path in
+  // registers across the opaque push_back calls (a reference capture of
+  // `this` would force member reloads on every seed — the same hoisting
+  // rule as the fused stage sweeps).
+  const std::uint32_t* const shard_tbl =
+      sharded_ ? graph_.shard.data() : nullptr;
+  // Forced inline for the same reason as fused_stage: the surrounding
+  // function is big enough that the inliner otherwise leaves this as an
+  // out-of-line call on every injected/retried message.
+  auto seed_entry = [shard_tbl, stg, g_bp = bucket_pos_.data(),
+                     sh = shards_.data()](std::uint32_t idx,
+                                          std::uint32_t fc) FT_ALWAYS_INLINE {
+    ShardState& st = sh[shard_tbl != nullptr ? shard_tbl[fc] : 0];
+    const std::uint32_t fs = stg[fc];
+    if (g_bp[fc]++ == 0) st.stage_touched[fs].push_back(fc);
+    st.stage_list[fs].push_back(pack_entry(idx, fc));
+  };
+
+  // Pooled compaction: sharded runs with a pool.
+  const bool pooled = pool_ != nullptr;
+  // The retry policy is sampled once per run; without one (and without
+  // faults) every phase below is the classic hot path.
+  const RetryPolicy& retry = opts_.retry;
+  // AdaptiveOccupancy parks losers of persistently hot channels through
+  // the retry machinery, so it forces the retry-aware compaction even
+  // under the default (never-dropping) RetryPolicy: adaptive only ever
+  // adds delay, never drops on its own.
+  const bool adaptive_on =
+      opts_.policy == RoutingPolicy::AdaptiveOccupancy &&
+      opts_.contention == ContentionPolicy::RandomSubset;
+  const bool retry_on = retry.enabled() || adaptive_on;
+  // Fault-free tally: every limit is 2^32 - 1 and nothing can lower it,
+  // so every seeded message crosses all of its hops in the cycle it is
+  // seeded. Such runs build no worklists and run tally_sweep in place of
+  // the stage sweep. A faulted tally counts its violations from carried_
+  // after each stage sweep (run_cycle_sharded), so it writes occupancy on
+  // every cycle.
+  const bool tally = opts_.contention == ContentionPolicy::Tally;
+  const bool sweep_free = tally && run.faults == nullptr;
+  const bool faulted_tally = tally && run.faults != nullptr;
+  // Messages seeded to contend in the current cycle; equals pending when
+  // no retry policy parks anyone.
+  std::uint64_t contenders = 0;
+
+  // inject: one streaming copy of each batch's hop buffer into the
+  // engine's (possibly narrowed) buffer; message slices keep their offsets
+  // relative to base, so path layout is untouched. Streamed sources can
+  // concatenate past the single-PathSet bound, so the combined buffer
+  // re-proves the 32-bit offset and message-index invariants every batch
+  // (the narrowing helper aborts on the first workload that genuinely
+  // outgrows the index discipline). Once no message is live, nothing reads
+  // the buffer, so it starts over: a replay holds one scheduled cycle's
+  // hops, not the whole schedule's.
+  auto inject = [&](std::uint32_t cycle, CycleCounts& n) FT_ALWAYS_INLINE {
     while (const PathSet* batch_ptr = feed.next(cycle)) {
       const PathSet& batch = *batch_ptr;
       const std::uint32_t* chans = batch.channels().data();
-      // One streaming copy of the batch's hop buffer into the engine's
-      // (possibly narrowed) buffer; message slices keep their offsets
-      // relative to base, so path layout is untouched. Streamed sources
-      // can concatenate past the single-PathSet bound, so the combined
-      // buffer re-proves the 32-bit offset and message-index invariants
-      // every batch (the narrowing helper aborts on the first workload
-      // that genuinely outgrows the index discipline). Once no message is
-      // live, nothing reads the buffer, so it starts over: a replay holds
-      // one scheduled cycle's hops, not the whole schedule's.
       if (ce_.empty()) chan_buf.clear();
       const std::uint32_t base =
           checked_u32(chan_buf.size(), "injected hop buffer overflows "
@@ -1025,22 +1124,14 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
         dst[h] = static_cast<ChanT>(chans[h]);
       }
       const std::uint32_t* const ctbl = check_tbl_.data();
-      const auto nch = static_cast<std::uint32_t>(num_channels);
+      const auto nch = static_cast<std::uint32_t>(check_tbl_.size());
       for (std::size_t p = 0; p < batch.size(); ++p) {
         const std::uint32_t off = batch.offset(p);
         const std::uint32_t len = batch.length(p);
-        // Equivalent to graph_.check_path, one table lookup per hop.
-        std::uint32_t prev = 0;
-        for (std::uint32_t h = off; h < off + len; ++h) {
-          const std::uint32_t c = chans[h];
-          const std::uint32_t v = c < nch ? ctbl[c] : 0;
-          FT_CHECK_MSG(v != 0, "path uses an unknown channel");
-          FT_CHECK_MSG(v > prev, "path stages must strictly increase");
-          prev = v;
-        }
+        check_path(ctbl, nch, chans + off, chans + off + len, true);
         const std::uint32_t id = next_id++;
         if (len == 0) {
-          ++delivered_now;  // local delivery, no channel used
+          ++n.delivered;  // local delivery, no channel used
           if (lat_on) lat_samples_.push_back({1, 1});
           if (trace) {
             observer->on_message_event(
@@ -1048,331 +1139,257 @@ EngineResult CycleEngine::run_lossy_t(std::vector<ChanT>& chan_buf,
             observer->on_message_event(
                 {MessageEventKind::Deliver, id, cycle, kNoChannel});
           }
-        } else {
-          const std::uint32_t begin = base + off;
-          const auto idx = static_cast<std::uint32_t>(ce_.size());
-          const std::uint32_t fc = chans[off];
-          ce_.push_back(
-              (static_cast<std::uint64_t>(begin + len) << 32) | begin);
-          begin_.push_back(begin);
-          id_.push_back(id);
-          first_chan_.push_back(fc);
-          if (retry_on) {
-            attempts_.push_back(1);
-            wake_.push_back(cycle);
-          }
-          if (lat_on) inject_cycle_.push_back(cycle);
-          ++contenders;
-          if (!sweep_free) seed_entry(idx, fc);
-          if (trace) {
-            observer->on_message_event(
-                {MessageEventKind::Inject, id, cycle, fc});
-          }
+          continue;
+        }
+        const std::uint32_t begin = base + off;
+        const auto idx = static_cast<std::uint32_t>(ce_.size());
+        const std::uint32_t fc = chans[off];
+        ce_.push_back((static_cast<std::uint64_t>(begin + len) << 32) | begin);
+        begin_.push_back(begin);
+        id_.push_back(id);
+        first_chan_.push_back(fc);
+        if (retry_on) {
+          attempts_.push_back(1);
+          wake_.push_back(cycle);
+        }
+        if (lat_on) inject_cycle_.push_back(cycle);
+        ++contenders;
+        if (!sweep_free) seed_entry(idx, fc);
+        if (trace) {
+          observer->on_message_event(
+              {MessageEventKind::Inject, id, cycle, fc});
         }
       }
     }
-    const std::size_t pending_before = ce_.size();
-    // Messages parked in backoff are alive but do not contend; without a
-    // retry policy every pending message was seeded, so contenders ==
-    // pending_before and the accounting is byte-identical to the classic
-    // engine.
-    const std::uint64_t cycle_attempts = contenders;
-    result.total_attempts += cycle_attempts;
-    if (trace) {
-      for (std::size_t i = 0; i < pending_before; ++i) {
-        if (retry_on && wake_[i] != cycle) continue;  // parked in backoff
-        observer->on_message_event(
-            {MessageEventKind::Attempt, id_[i], cycle, first_chan_[i]});
-      }
-    }
+  };
 
-    // A message dies at the first channel whose random cap-subset lottery
-    // it loses; stages run in causal order along every path. Worklists
-    // were seeded by last cycle's compaction (retries) and this cycle's
-    // injection, both in ascending message order.
-    if (show_carried) std::fill(carried_.begin(), carried_.end(), 0);
+  // sweep: worklists were seeded by last cycle's compaction (retries) and
+  // this cycle's injection, both in ascending message order. A fault-free
+  // tally's single pass over the live messages is timed as the serial
+  // (spine) band.
+  auto sweep = [&](std::uint32_t cycle, CycleCounts& n) {
     const ChanT* chan = chan_buf.data();
-    std::uint64_t cycle_losses = 0;
-    std::uint64_t cycle_hops = 0;
     if (sweep_free) {
-      // A fault-free tally's single pass over the live messages: timed as
-      // the serial (spine) band.
-      const auto st0 = time_phases_ ? PhaseClock::now() : cyc_t0;
-      tally_sweep(chan, cycle_hops, result.capacity_violations);
-      if (time_phases_) ph_spine_ += phase_delta(st0, PhaseClock::now());
+      const PhaseSpan span(time_phases_, ph_spine_);
+      tally_sweep(chan, n.hops, result.capacity_violations);
     } else {
-      run_cycle_sharded(chan, cycle, cycle_losses, cycle_hops,
+      run_cycle_sharded(chan, cycle, n.losses, n.hops,
                         result.capacity_violations);
     }
+  };
 
-    // Adaptive occupancy feedback, serial coordination path: fold this
-    // cycle's over-pressure marks into the per-channel hot streaks before
-    // the compaction below decides parking. The scan list is the
-    // telemetry probe's in-budget channel set, so feedback acts on
-    // exactly the channels the observatory watches; every executor wrote
-    // the same pressure marks (a channel is over limit or it is not), so
-    // the streaks — and every parking decision downstream — are
-    // executor-invariant.
-    if (adaptive_on) {
-      std::uint32_t* const hs = hot_streak_.data();
-      std::uint32_t* const op = over_pressure_.data();
-      for (const std::uint32_t c : adaptive_scan_) {
-        hs[c] = op[c] != 0 ? hs[c] + 1 : 0;
-        op[c] = 0;
+  // feedback: fold this cycle's over-pressure marks into the per-channel
+  // hot streaks before compaction decides parking. The scan list is the
+  // telemetry probe's in-budget channel set, so feedback acts on exactly
+  // the channels the observatory watches; every executor wrote the same
+  // pressure marks (a channel is over limit or it is not), so the streaks
+  // — and every parking decision downstream — are executor-invariant.
+  auto feedback = [&] {
+    std::uint32_t* const hs = hot_streak_.data();
+    std::uint32_t* const op = over_pressure_.data();
+    for (const std::uint32_t c : adaptive_scan_) {
+      hs[c] = op[c] != 0 ? hs[c] + 1 : 0;
+      op[c] = 0;
+    }
+  };
+
+  // Message events of the cycle's contenders (parked messages have none).
+  // A loser's cursor stops at the channel whose lottery it lost, which is
+  // the Loss event's channel.
+  auto trace_attempts = [&](std::uint32_t cycle, std::size_t pending) {
+    for (std::size_t i = 0; i < pending; ++i) {
+      if (retry_on && wake_[i] != cycle) continue;
+      observer->on_message_event(
+          {MessageEventKind::Attempt, id_[i], cycle, first_chan_[i]});
+    }
+  };
+  auto trace_outcomes = [&](std::uint32_t cycle) {
+    const ChanT* chan = chan_buf.data();
+    for (std::size_t i = 0; i < ce_.size(); ++i) {
+      if (retry_on && wake_[i] != cycle) continue;
+      const std::uint64_t v = ce_[i];
+      if (static_cast<std::uint32_t>(v) == (v >> 32)) {
+        observer->on_message_event(
+            {MessageEventKind::Deliver, id_[i], cycle, kNoChannel});
+      } else {
+        observer->on_message_event({MessageEventKind::Loss, id_[i], cycle,
+                                    chan[static_cast<std::uint32_t>(v)]});
       }
     }
+  };
 
-    // Survivors are delivered; the rest retry next cycle. A loser's
-    // cursor stops at the channel whose lottery it lost, which is the
-    // Loss event's channel.
-    if (trace) {
-      for (std::size_t i = 0; i < ce_.size(); ++i) {
-        if (retry_on && wake_[i] != cycle) continue;  // parked: no outcome
-        const std::uint64_t v = ce_[i];
-        if (static_cast<std::uint32_t>(v) == (v >> 32)) {
+  // compact: survivors are delivered; compacting the losers doubles as
+  // next cycle's reseed (cursors rewind to the first hop and each retry
+  // lands on its stage worklist), so the cycle loop never takes a separate
+  // O(pending) seeding pass.
+  auto compact = [&](std::uint32_t cycle, CycleCounts& n) FT_ALWAYS_INLINE {
+    const ChanT* chan = chan_buf.data();
+    // Retry fate of message i, which contended this cycle and lost for the
+    // `att`-th time: the cycle it next contends in, or 0 when it gives up
+    // (attempts or deadline exhausted).
+    auto next_wake = [&](std::size_t i, std::uint32_t att, std::uint64_t v) {
+      const std::uint32_t lost_at = chan[static_cast<std::uint32_t>(v)];
+      std::uint32_t delay = 0;
+      bool drop = retry.max_attempts != 0 && att >= retry.max_attempts;
+      if (!drop) {
+        if (retry.exponential_backoff) {
+          const std::uint32_t shift = std::min(att - 1, 31u);
+          delay = std::min<std::uint32_t>(retry.max_backoff,
+                                          (1u << shift) - 1);
+        }
+        // Congestion-persistence backoff: once the loss channel has been
+        // hot for kAdaptiveHotStreak cycles, its losers desynchronize —
+        // the pending index staggers retries across a window that widens
+        // with the streak, so the channel stays fed (about one waker per
+        // cycle) while upstream contention drops.
+        const std::uint32_t streak = adaptive_on ? hot_streak_[lost_at] : 0;
+        if (streak >= kAdaptiveHotStreak) {
+          const std::uint32_t window = std::min(streak, kAdaptiveMaxDelay);
+          delay = std::max(delay, 1 + static_cast<std::uint32_t>(i) % window);
+        }
+        // The deadline check runs after every delay extension (backoff
+        // and adaptive): a parked message's wake never exceeds the
+        // deadline, so a deadline can only expire on a message that
+        // contended — give-up accounting stays exactly-once (pinned in
+        // test_fault_plan).
+        drop = retry.deadline_cycles != 0 &&
+               static_cast<std::uint64_t>(cycle) + 1 + delay >
+                   retry.deadline_cycles;
+      }
+      if (drop) {
+        ++n.gave_up;
+        if (trace) {
           observer->on_message_event(
-              {MessageEventKind::Deliver, id_[i], cycle, kNoChannel});
-        } else {
+              {MessageEventKind::GiveUp, id_[i], cycle, kNoChannel});
+        }
+        return 0u;
+      }
+      if (delay > 0) {
+        ++n.backoffs;
+        if (trace) {
           observer->on_message_event(
-              {MessageEventKind::Loss, id_[i], cycle,
-               chan[static_cast<std::uint32_t>(v)]});
+              {MessageEventKind::Backoff, id_[i], cycle, lost_at});
         }
       }
-    }
-    // Compacting the losers doubles as next cycle's reseed: cursors rewind
-    // to the first hop and each retry lands on its stage worklist here, so
-    // the cycle loop never takes a separate O(pending) seeding pass. The
-    // retry-aware variant additionally decides each loser's fate — give
-    // up (attempts/deadline exhausted), park (exponential backoff), or
-    // reseed — and wakes parked messages whose delay has elapsed.
-    //
-    // Without a retry policy every loser is kept, so compaction is a
-    // stable partition by the delivered test, and one body runs it over a
-    // block [lo, hi) of pending messages: losers go to output ranks from
-    // `rank` on and each is handed to `seed` for next cycle's worklists;
-    // returns the next free rank. Serial runs (and every traced or
-    // latency-sampling run) execute it as a single block, in place, that
-    // seeds directly; sharded pooled cycles run it block-parallel
-    // (compact_pooled). Ranks, and so pending indices, are the same
-    // either way.
-    auto compact = [&](std::size_t lo, std::size_t hi, std::size_t rank,
-                       std::uint64_t* ce_out, std::uint32_t* bg_out,
-                       std::uint32_t* fc_out, auto&& seed) {
+      return cycle + 1 + delay;
+    };
+    // The one compaction body, over a block [lo, hi) of pending messages:
+    // kept losers go to output ranks from `rank` on, each one due next
+    // cycle is handed to `seed` for next cycle's worklists, and the next
+    // free rank is returned. Without a retry policy (retry_tag false) every
+    // loser is kept and due, so the body is a stable partition by the
+    // delivered test; with one it also decides each loser's fate —
+    // give up, park (backoff) or reseed — wakes parked messages whose delay
+    // has elapsed, and compacts attempts_/wake_. Serial runs (and every
+    // retry, traced or latency-sampling run) execute it as a single block,
+    // in place, that seeds directly; sharded pooled cycles without those
+    // run the non-retry body block-parallel (compact_pooled). Ranks, and so
+    // pending indices, are the same either way.
+    auto body = [&](auto retry_tag, std::size_t lo, std::size_t hi,
+                    std::size_t rank, std::uint64_t* ce_out,
+                    std::uint32_t* bg_out, std::uint32_t* fc_out,
+                    auto&& seed) {
+      constexpr bool kRetry = decltype(retry_tag)::value;
       const std::uint64_t* const ce = ce_.data();
       const std::uint32_t* const bg = begin_.data();
       const std::uint32_t* const fcs = first_chan_.data();
       std::uint32_t* const ids = id_.data();
       std::uint32_t* const ic = inject_cycle_.data();
+      std::uint32_t* const att = attempts_.data();
+      std::uint32_t* const wk = wake_.data();
       for (std::size_t i = lo; i < hi; ++i) {
         const std::uint64_t v = ce[i];
         if (static_cast<std::uint32_t>(v) == (v >> 32)) {
-          // Latency counts delivery cycles from injection inclusive;
-          // ideal is 1 in the lossy modes (an uncontended path traverses
-          // in one cycle).
+          // Latency counts delivery cycles from injection inclusive; ideal
+          // is 1 in the lossy modes (an uncontended path traverses in one
+          // cycle).
           if (lat_on) lat_samples_.push_back({cycle - ic[i] + 1, 1});
-        } else {
-          const std::uint32_t b = bg[i];
-          const std::uint32_t fc = fcs[i];
-          // Rewind the cursor to the first hop; the end half is
-          // untouched.
-          ce_out[rank] = (v & 0xffffffff00000000ull) | b;
-          bg_out[rank] = b;
-          if (trace) ids[rank] = ids[i];  // ids are only read when tracing
-          fc_out[rank] = fc;
-          if (lat_on) ic[rank] = ic[i];
-          seed(static_cast<std::uint32_t>(rank), fc);
-          ++rank;
+          continue;
         }
+        std::uint32_t wake = cycle + 1;
+        if constexpr (kRetry) {
+          // A parked message keeps its wake, its cursor already rewound.
+          wake = wk[i] == cycle ? next_wake(i, att[i], v) : wk[i];
+          if (wake == 0) continue;
+        }
+        const std::uint32_t b = bg[i];
+        const std::uint32_t fc = fcs[i];
+        // Rewind the cursor to the first hop; the end half is untouched.
+        ce_out[rank] = (v & 0xffffffff00000000ull) | b;
+        bg_out[rank] = b;
+        if (trace) ids[rank] = ids[i];  // ids are only read when tracing
+        fc_out[rank] = fc;
+        if (lat_on) ic[rank] = ic[i];
+        if constexpr (kRetry) {
+          att[rank] = wake == cycle + 1 ? att[i] + 1 : att[i];
+          wk[rank] = wake;
+          if (wake == cycle + 1) ++contenders;
+        }
+        if (wake == cycle + 1) seed(static_cast<std::uint32_t>(rank), fc);
+        ++rank;
       }
       return rank;
     };
+    const std::size_t pending = ce_.size();
     std::size_t kept = 0;
-    {
-      const std::size_t pending = ce_.size();
-      std::uint64_t* const ce = ce_.data();
-      std::uint32_t* const bg = begin_.data();
-      std::uint32_t* const ids = id_.data();
-      std::uint32_t* const fcs = first_chan_.data();
-      std::uint32_t* const ic = inject_cycle_.data();
-      if (!retry_on) {
-        if (pooled && !trace && !lat_on && pending >= kMinParallelWork) {
-          const auto ct0 = time_phases_ ? PhaseClock::now() : cyc_t0;
-          kept = compact_pooled<ChanT>(compact);
-          if (time_phases_) ph_compact_ += phase_delta(ct0, PhaseClock::now());
-        } else {
-          kept = compact(0, pending, 0, ce, bg, fcs, seed_entry);
-        }
-        delivered_now += static_cast<std::uint32_t>(pending - kept);
-        contenders = kept;
+    if (retry_on) {
+      contenders = 0;
+      kept = body(std::true_type{}, 0, pending, 0, ce_.data(), begin_.data(),
+                  first_chan_.data(), seed_entry);
+      attempts_.resize(kept);
+      wake_.resize(kept);
+    } else {
+      if (pooled && !trace && !lat_on && pending >= kMinParallelWork) {
+        const PhaseSpan span(time_phases_, ph_compact_);
+        kept = compact_pooled<ChanT>([&](auto&&... args) {
+          return body(std::false_type{}, args...);
+        });
       } else {
-        std::uint32_t* const att = attempts_.data();
-        std::uint32_t* const wk = wake_.data();
-        contenders = 0;
-        for (std::size_t i = 0; i < pending; ++i) {
-          const std::uint64_t v = ce[i];
-          if (static_cast<std::uint32_t>(v) == (v >> 32)) {
-            ++delivered_now;
-            if (lat_on) lat_samples_.push_back({cycle - ic[i] + 1, 1});
-            continue;
-          }
-          std::uint32_t next_wake;
-          if (wk[i] == cycle) {
-            // Contended and lost this cycle: attempts_[i] losses so far.
-            std::uint32_t delay = 0;
-            bool drop = false;
-            if (retry.max_attempts != 0 && att[i] >= retry.max_attempts) {
-              drop = true;
-            } else {
-              if (retry.exponential_backoff) {
-                const std::uint32_t shift = std::min(att[i] - 1, 31u);
-                delay = std::min<std::uint32_t>(retry.max_backoff,
-                                                (1u << shift) - 1);
-              }
-              if (adaptive_on) {
-                // Congestion-persistence backoff: once the loss channel
-                // has been hot for kAdaptiveHotStreak cycles, its losers
-                // desynchronize — the pending index staggers retries
-                // across a window that widens with the streak, so the
-                // channel stays fed (about one waker per cycle) while
-                // upstream contention drops.
-                const std::uint32_t streak =
-                    hot_streak_[chan[static_cast<std::uint32_t>(v)]];
-                if (streak >= kAdaptiveHotStreak) {
-                  const std::uint32_t window =
-                      std::min(streak, kAdaptiveMaxDelay);
-                  delay = std::max(
-                      delay, 1 + static_cast<std::uint32_t>(i) % window);
-                }
-              }
-              // The deadline check runs after every delay extension
-              // (backoff and adaptive): a parked message's wake never
-              // exceeds the deadline, so a deadline can only expire on a
-              // message that contended — give-up accounting stays
-              // exactly-once (pinned in test_fault_plan).
-              if (retry.deadline_cycles != 0 &&
-                  static_cast<std::uint64_t>(cycle) + 1 + delay >
-                      retry.deadline_cycles) {
-                drop = true;
-              }
-            }
-            if (drop) {
-              ++gave_up_now;
-              if (trace) {
-                observer->on_message_event(
-                    {MessageEventKind::GiveUp, ids[i], cycle, kNoChannel});
-              }
-              continue;
-            }
-            if (delay > 0) {
-              ++backoffs_now;
-              if (trace) {
-                observer->on_message_event(
-                    {MessageEventKind::Backoff, ids[i], cycle,
-                     chan[static_cast<std::uint32_t>(v)]});
-              }
-            }
-            next_wake = cycle + 1 + delay;
-          } else {
-            next_wake = wk[i];  // parked; cursor already at the first hop
-          }
-          const std::uint32_t b = bg[i];
-          const std::uint32_t fc = fcs[i];
-          ce[kept] = (v & 0xffffffff00000000ull) | b;
-          bg[kept] = b;
-          if (trace) ids[kept] = ids[i];
-          fcs[kept] = fc;
-          if (lat_on) ic[kept] = ic[i];
-          if (next_wake == cycle + 1) {
-            att[kept] = att[i] + 1;
-            wk[kept] = next_wake;
-            seed_entry(static_cast<std::uint32_t>(kept), fc);
-            ++contenders;
-          } else {
-            att[kept] = att[i];
-            wk[kept] = next_wake;
-          }
-          ++kept;
-        }
+        kept = body(std::false_type{}, 0, pending, 0, ce_.data(),
+                    begin_.data(), first_chan_.data(), seed_entry);
       }
+      contenders = kept;
     }
+    n.delivered += static_cast<std::uint32_t>(pending - kept - n.gave_up);
     ce_.resize(kept);
     begin_.resize(kept);
     id_.resize(kept);
     first_chan_.resize(kept);
-    if (retry_on) {
-      attempts_.resize(kept);
-      wake_.resize(kept);
-    }
     if (lat_on) inject_cycle_.resize(kept);
+  };
 
-    ++result.cycles;
-    result.total_losses += cycle_losses;
-    result.total_hops += cycle_hops;
-    result.delivered += delivered_now;
-    result.delivered_per_cycle.push_back(delivered_now);
-    result.total_backoffs += backoffs_now;
-    result.messages_given_up += gave_up_now;
-
-    if (observer != nullptr) {
-      CycleSnapshot snap;
-      snap.cycle = cycle;
-      snap.pending_before = pending_before;
-      snap.delivered = delivered_now;
-      snap.attempts = cycle_attempts;
-      snap.losses = cycle_losses;
-      if (cf != nullptr) {
-        snap.faults_down = static_cast<std::uint32_t>(cf->went_down.size());
-        snap.faults_up = static_cast<std::uint32_t>(cf->came_up.size());
-        snap.subtree_kills =
-            static_cast<std::uint32_t>(cf->killed_nodes.size());
-        snap.channels_down = cf->channels_down;
-        snap.degraded_channels = cf->degraded_channels;
-      }
-      snap.backoffs = backoffs_now;
-      snap.gave_up = gave_up_now;
-      snap.carried = show_carried ? &carried_ : nullptr;
-      snap.latencies = lat_on ? &lat_samples_ : nullptr;
-      snap.graph = &graph_;
-      observer->on_cycle(snap);
-    }
-
-    if (time_phases_) {
-      // Everything this cycle spent outside the stage sweeps and the
-      // pooled compaction — injection, serial compaction, fault
-      // bookkeeping, observer callbacks — is serial coordination. Clamped
-      // at zero against clock jitter.
-      const double cyc = phase_delta(cyc_t0, PhaseClock::now());
-      ph_coord += std::max(0.0, cyc - (timed_sum() - sweep_before));
-    }
-
-    if (opts_.max_cycles != 0 && result.cycles >= opts_.max_cycles &&
-        (!feed.exhausted() || !ce_.empty())) {
-      result.gave_up = true;
-      break;
-    }
-  }
-  if (result.gave_up && trace) {
-    const auto last_cycle = static_cast<std::uint32_t>(result.cycles);
-    for (const std::uint32_t id : id_) {
-      observer->on_message_event(
-          {MessageEventKind::GiveUp, id, last_cycle, kNoChannel});
-    }
-  }
-  if (time_phases_) {
-    result.phases.up_seconds = ph_up_;
-    result.phases.spine_seconds = ph_spine_;
-    result.phases.spine_parallel_seconds = ph_spine_par_;
-    result.phases.down_seconds = ph_down_;
-    result.phases.compact_seconds = ph_compact_;
-    result.phases.coord_seconds = ph_coord;
-    result.phases.timed_cycles = result.cycles;
-  }
+  // The phases inline into one out-of-line cycle body per hop width. Left
+  // to itself, GCC outlines inject and compact and inlines the rest into
+  // the skeleton, which grew the object's text by ~5 KB.
+  cycle_loop(
+      run, result, [&] { return !feed.exhausted() || !ce_.empty(); },
+      [&](std::uint32_t cycle, const FaultState::CycleFaults*,
+          bool show_carried) FT_NOINLINE {
+        want_carried_ = show_carried || faulted_tally;
+        CycleCounts n;
+        inject(cycle, n);
+        n.pending_before = ce_.size();
+        // Messages parked in backoff are alive but do not contend; without
+        // a retry policy every pending message was seeded, so attempts ==
+        // pending_before.
+        n.attempts = contenders;
+        if (trace) trace_attempts(cycle, n.pending_before);
+        if (show_carried) std::fill(carried_.begin(), carried_.end(), 0);
+        sweep(cycle, n);
+        if (adaptive_on) feedback();
+        if (trace) trace_outcomes(cycle);
+        compact(cycle, n);
+        return n;
+      });
   return result;
 }
 
 EngineResult CycleEngine::run_fifo(const PathSet& paths,
                                    EngineObserver* observer) {
   EngineResult result;
+  const RunFrame run = begin_run(observer);
+  const bool trace = run.trace;
+  const bool lat_on = run.lat_on;
   const std::size_t num_channels = graph_.num_channels();
   const std::uint32_t* chans = paths.channels().data();
   const std::uint32_t* offs = paths.offsets().data();
@@ -1382,26 +1399,15 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
   std::vector<std::uint32_t> pos(paths.size());
   carried_.assign(num_channels, 0);
 
-  const bool trace = observer != nullptr && observer->wants_message_events();
-  const bool lat_on =
-      observer != nullptr && observer->wants_latency_samples();
-  lat_samples_.clear();
-  time_phases_ = opts_.time_phases;
-  ph_spine_ = 0.0;
-  double ph_coord = 0.0;
-
-  // Dynamic faults evolve on the coordination path, once per round, just
-  // as in the lossy engine; a down channel forwards nothing this round
-  // (its queue simply waits), a browned-out one forwards fewer.
-  std::unique_ptr<FaultState> faults;
-  if (opts_.fault_plan != nullptr && !opts_.fault_plan->empty()) {
-    faults = std::make_unique<FaultState>(*opts_.fault_plan, graph_);
-  }
-  active_limit_ = limit_.data();
-
+  // Every message is queued at its first channel before round 1. FIFO
+  // ignores stages (flat graphs put every channel at stage 0), so a path
+  // need only name known channels.
+  const auto nch = static_cast<std::uint32_t>(check_tbl_.size());
   std::size_t in_flight = 0;
   for (std::size_t i = 0; i < paths.size(); ++i) {
     const auto id = static_cast<std::uint32_t>(i);
+    check_path(check_tbl_.data(), nch, chans + offs[i], chans + offs[i + 1],
+               false);
     pos[i] = offs[i];
     if (offs[i] == offs[i + 1]) {
       ++result.delivered;  // local message, finishes at round 0
@@ -1424,134 +1430,60 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
   // Each round every channel forwards up to its capacity in FIFO order,
   // in ascending channel order (the order of its trace events and latency
   // samples); arrivals are buffered so a message moves at most one hop
-  // per round.
+  // per round. A down channel forwards nothing (its queue simply waits), a
+  // browned-out one forwards fewer.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> arrivals;
-
-  while (in_flight > 0) {
-    FT_CHECK_MSG(result.cycles < 0xffffffffULL,
-                 "round index overflows 32-bit snapshot cycles");
-    const auto round = static_cast<std::uint32_t>(result.cycles + 1);
-    PhaseClock::time_point cyc_t0;
-    if (time_phases_) cyc_t0 = PhaseClock::now();
-    if (lat_on) lat_samples_.clear();
-    const FaultState::CycleFaults* cf = nullptr;
-    if (faults) {
-      cf = &faults->begin_cycle(round, limit_);
-      active_limit_ = faults->eff_limit().data();
-      result.fault_down_events += cf->went_down.size();
-      result.fault_up_events += cf->came_up.size();
-      result.subtree_kill_events += cf->killed_nodes.size();
-      result.degraded_channel_cycles += cf->degraded_channels;
-      if (trace) {
-        for (const std::uint32_t node : cf->killed_nodes) {
-          observer->on_message_event(
-              {MessageEventKind::SubtreeKill, kNoMessage, round, node});
-        }
-        for (const std::uint32_t c : cf->went_down) {
-          observer->on_message_event(
-              {MessageEventKind::FaultDown, kNoMessage, round, c});
-        }
-        for (const std::uint32_t c : cf->came_up) {
-          observer->on_message_event(
-              {MessageEventKind::FaultUp, kNoMessage, round, c});
-        }
-      }
-    }
-    PhaseClock::time_point sweep_t0;
-    if (time_phases_) sweep_t0 = PhaseClock::now();
-    std::uint32_t finished = 0;
-    std::uint32_t round_peak = 0;
-    std::uint64_t round_forwards = 0;
-    arrivals.clear();
-    for (std::size_t lid = 0; lid < num_channels; ++lid) {
-      ChunkedRing& q = queues[lid];
-      const std::uint64_t cap = active_limit_[lid];
-      std::uint32_t forwarded = 0;
-      for (; forwarded < cap && !q.empty(); ++forwarded) {
-        const std::uint32_t msg = q.pop();
-        if (trace) {
-          observer->on_message_event({MessageEventKind::Hop, msg, round,
-                                      static_cast<std::uint32_t>(lid)});
-        }
-        if (++pos[msg] == offs[msg + 1]) {
-          result.latency_sum += round;
-          ++finished;
-          // Finish round vs the path's contention-free round count: a
-          // message that never queued behind anyone has stretch 1.
-          if (lat_on) {
-            lat_samples_.push_back({round, offs[msg + 1] - offs[msg]});
+  cycle_loop(
+      run, result, [&] { return in_flight > 0; },
+      [&](std::uint32_t round, const FaultState::CycleFaults* cf, bool) {
+        CycleCounts n;
+        n.pending_before = in_flight;
+        {
+          // The round's sweep is serial: it counts as spine.
+          const PhaseSpan span(time_phases_, ph_spine_);
+          arrivals.clear();
+          for (std::size_t lid = 0; lid < num_channels; ++lid) {
+            ChunkedRing& q = queues[lid];
+            const std::uint64_t cap = active_limit_[lid];
+            std::uint32_t forwarded = 0;
+            for (; forwarded < cap && !q.empty(); ++forwarded) {
+              const std::uint32_t msg = q.pop();
+              if (trace) {
+                observer->on_message_event({MessageEventKind::Hop, msg, round,
+                                            static_cast<std::uint32_t>(lid)});
+              }
+              if (++pos[msg] == offs[msg + 1]) {
+                result.latency_sum += round;
+                ++n.delivered;
+                // Finish round vs the path's contention-free round count: a
+                // message that never queued behind anyone has stretch 1.
+                if (lat_on) {
+                  lat_samples_.push_back({round, offs[msg + 1] - offs[msg]});
+                }
+                if (trace) {
+                  observer->on_message_event(
+                      {MessageEventKind::Deliver, msg, round,
+                       static_cast<std::uint32_t>(lid)});
+                }
+              } else {
+                arrivals.emplace_back(chans[pos[msg]], msg);
+              }
+            }
+            n.hops += forwarded;
+            carried_[lid] = forwarded;
+            n.peak_queue =
+                std::max(n.peak_queue, static_cast<std::uint32_t>(q.size()));
           }
-          if (trace) {
-            observer->on_message_event({MessageEventKind::Deliver, msg,
-                                        round,
-                                        static_cast<std::uint32_t>(lid)});
-          }
-        } else {
-          arrivals.emplace_back(chans[pos[msg]], msg);
+          for (const auto& [lid, msg] : arrivals) queues[lid].push(msg);
         }
-      }
-      round_forwards += forwarded;
-      carried_[lid] = forwarded;
-      round_peak =
-          std::max(round_peak, static_cast<std::uint32_t>(q.size()));
-    }
-    for (const auto& [lid, msg] : arrivals) queues[lid].push(msg);
-    // The round's sweep is serial: it counts as spine.
-    double sweep_dt = 0.0;
-    if (time_phases_) {
-      sweep_dt = phase_delta(sweep_t0, PhaseClock::now());
-      ph_spine_ += sweep_dt;
-    }
-
-    result.total_attempts += round_forwards;
-    result.total_hops += round_forwards;
-    // A round may legitimately stall while faults hold channels down; the
-    // no-progress invariant only applies at full health.
-    FT_CHECK_MSG(
-        round_forwards > 0 || (cf != nullptr && cf->channels_down > 0),
-        "FIFO engine made no progress");
-    result.max_queue = std::max(result.max_queue, round_peak);
-    in_flight -= finished;
-    result.delivered += finished;
-    ++result.cycles;
-    result.delivered_per_cycle.push_back(finished);
-
-    if (observer != nullptr) {
-      CycleSnapshot snap;
-      snap.cycle = round;
-      snap.pending_before = in_flight + finished;
-      snap.delivered = finished;
-      snap.attempts = round_forwards;
-      snap.peak_queue = round_peak;
-      if (cf != nullptr) {
-        snap.faults_down = static_cast<std::uint32_t>(cf->went_down.size());
-        snap.faults_up = static_cast<std::uint32_t>(cf->came_up.size());
-        snap.subtree_kills =
-            static_cast<std::uint32_t>(cf->killed_nodes.size());
-        snap.channels_down = cf->channels_down;
-        snap.degraded_channels = cf->degraded_channels;
-      }
-      // FIFO rounds track carried as part of the forwarding loop either
-      // way; the per-cycle opt-in only decides whether the observer sees
-      // it, keeping the snapshot contract uniform across modes.
-      snap.carried =
-          observer->wants_channel_state(round) ? &carried_ : nullptr;
-      snap.latencies = lat_on ? &lat_samples_ : nullptr;
-      snap.graph = &graph_;
-      observer->on_cycle(snap);
-    }
-
-    if (time_phases_) {
-      const double cyc = phase_delta(cyc_t0, PhaseClock::now());
-      ph_coord += std::max(0.0, cyc - sweep_dt);
-    }
-
-    if (opts_.max_cycles != 0 && result.cycles >= opts_.max_cycles &&
-        in_flight > 0) {
-      result.gave_up = true;
-      break;
-    }
-  }
+        // A round may legitimately stall while faults hold channels down;
+        // the no-progress invariant only applies at full health.
+        FT_CHECK_MSG(n.hops > 0 || (cf != nullptr && cf->channels_down > 0),
+                     "FIFO engine made no progress");
+        n.attempts = n.hops;
+        in_flight -= n.delivered;
+        return n;
+      });
   if (result.gave_up && trace) {
     const auto last_round = static_cast<std::uint32_t>(result.cycles);
     for (std::size_t lid = 0; lid < num_channels; ++lid) {
@@ -1562,11 +1494,6 @@ EngineResult CycleEngine::run_fifo(const PathSet& paths,
                                     static_cast<std::uint32_t>(lid)});
       }
     }
-  }
-  if (time_phases_) {
-    result.phases.spine_seconds = ph_spine_;
-    result.phases.coord_seconds = ph_coord;
-    result.phases.timed_cycles = result.cycles;
   }
   return result;
 }

@@ -21,6 +21,13 @@
 //   * Channel model — the ChannelGraph handed to the constructor
 //     (engine/fat_tree_model.hpp, nets/Network, kary/KaryTree adapters).
 //
+// Both modes run one per-cycle skeleton (cycle_loop): the cycle-index
+// check, the fault advance, the observer's snapshot, the phase timing and
+// the max_cycles cap exist once. Its body is either the lossy/tally cycle
+// in named phases — inject, sweep, feedback, compact (one compaction body,
+// retry-aware by instantiation) — or one FIFO store-and-forward round.
+// Both validate every injected hop against the same channel table.
+//
 // One executor runs the lossy/tally cycle: the subtree-sharded segment
 // loop, whose shards sweep their own channels (fused_stage), on a
 // persistent thread pool when the engine is parallel and the graph
@@ -46,7 +53,7 @@ namespace ft {
 
 /// Internal injection schedule abstraction: hands run_lossy the next batch
 /// to inject, one cycle at a time (defined in engine.cpp; implementations
-/// wrap a batch vector or a MessageSource).
+/// wrap one PathSet or a MessageSource).
 class BatchFeed;
 
 enum class ContentionPolicy : std::uint8_t { RandomSubset, Fifo, Tally };
@@ -187,14 +194,6 @@ class CycleEngine {
   /// gives up). Fifo: synchronous store-and-forward rounds.
   EngineResult run(const PathSet& paths, EngineObserver* observer = nullptr);
 
-  /// Lossy/tally only: batch i is injected at cycle i+1 (the offline
-  /// schedule replay: one batch per scheduled delivery cycle). Losers of
-  /// batch i retry alongside batch i+1. Every batch opens a cycle, so a
-  /// valid offline schedule replays in exactly schedule.num_cycles()
-  /// cycles with zero losses.
-  EngineResult run_batched(const std::vector<PathSet>& batches,
-                           EngineObserver* observer = nullptr);
-
   /// Streaming run(): consumes the source chunk by chunk, injecting every
   /// path at cycle 1, bit-identical to run() on the concatenation of all
   /// chunks — but peak memory is O(chunk) instead of O(total paths) in the
@@ -204,8 +203,11 @@ class CycleEngine {
   EngineResult run_stream(MessageSource& source,
                           EngineObserver* observer = nullptr);
 
-  /// Streaming run_batched(): chunk i is injected at cycle i + 1,
-  /// bit-identical to run_batched() on the materialized chunk vector.
+  /// Lossy/tally only: chunk i is injected at cycle i + 1 (the offline
+  /// schedule replay: one chunk per scheduled delivery cycle). Losers of
+  /// chunk i retry alongside chunk i + 1. Every chunk opens a cycle, so a
+  /// valid offline schedule replays in exactly schedule.num_cycles()
+  /// cycles with zero losses.
   EngineResult run_batched_stream(MessageSource& source,
                                   EngineObserver* observer = nullptr);
 
@@ -305,14 +307,46 @@ class CycleEngine {
   /// Block-parallel compaction and reseed of a sharded, pooled cycle
   /// with no retry policy, tracing or latency sampling (see engine.cpp).
   /// Runs `compact(lo, hi, rank, ce_out, begin_out, first_out, seed)`,
-  /// the cycle loop's one compaction body, once per block; returns the
+  /// the lossy cycle's one compaction body, once per block; returns the
   /// number of messages kept.
   template <typename ChanT, typename Compact>
   std::size_t compact_pooled(const Compact& compact);
+
+  /// Per-run state of the shared cycle skeleton, set up by begin_run.
+  struct RunFrame {
+    EngineObserver* observer = nullptr;
+    bool trace = false;   ///< observer wants per-message events
+    bool lat_on = false;  ///< observer wants latency samples
+    std::unique_ptr<FaultState> faults;  ///< null without an active plan
+  };
+  /// What one executor's cycle body did; the skeleton folds it into the
+  /// result and the observer's snapshot.
+  struct CycleCounts {
+    std::size_t pending_before = 0;
+    std::uint64_t attempts = 0;
+    std::uint64_t losses = 0;
+    std::uint64_t hops = 0;
+    std::uint32_t delivered = 0;
+    std::uint32_t backoffs = 0;
+    std::uint32_t gave_up = 0;
+    std::uint32_t peak_queue = 0;
+  };
+  /// The per-run setup both executors share: the observer's opt-ins, the
+  /// FaultState, and the admission-limit and phase-timer resets.
+  RunFrame begin_run(EngineObserver* observer);
+  /// The one delivery-cycle loop (Section II) both executors run. While
+  /// pending() holds, each cycle checks the cycle index, advances the
+  /// fault plan, calls body(cycle, faults, show_carried) — the executor's
+  /// inject/sweep/compact or store-and-forward round — then folds its
+  /// CycleCounts into `result`, hands the observer its snapshot, charges
+  /// the untimed remainder to coord and applies max_cycles.
+  template <typename Pending, typename Body>
+  void cycle_loop(const RunFrame& run, EngineResult& result,
+                  const Pending& pending, const Body& body);
   EngineResult run_lossy(BatchFeed& feed, EngineObserver* observer);
   template <typename ChanT>
   EngineResult run_lossy_t(std::vector<ChanT>& chan_buf, BatchFeed& feed,
-                           EngineObserver* observer);
+                           const RunFrame& run);
   EngineResult run_fifo(const PathSet& paths, EngineObserver* observer);
 
   ChannelGraph graph_;
@@ -364,10 +398,12 @@ class CycleEngine {
   std::vector<std::uint32_t> tally_room_;
 
   /// Path validation table: stage + 1 for a usable channel, 0 for an
-  /// unknown one (zero capacity). Injection validates each hop with one
-  /// 32-bit lookup instead of ChannelGraph::check_path's two (capacity,
-  /// then stage); the checks are equivalent because stage + 1 is strictly
-  /// increasing exactly when stage is.
+  /// unknown one (zero capacity), one 32-bit lookup per injected hop in
+  /// both executors. A lossy path's stages must strictly increase — the
+  /// worklist invariant the stage sweep relies on: a message's next
+  /// channel always lies in a later stage, so each message is bucketed
+  /// once per cycle — and stage + 1 increases exactly when stage does.
+  /// FIFO ignores stages and checks only that each channel is known.
   std::vector<std::uint32_t> check_tbl_;
 
   // All per-run/per-cycle scratch below is a member so repeated run()

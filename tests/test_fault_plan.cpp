@@ -12,6 +12,7 @@
 
 #include "core/online_router.hpp"
 #include "core/traffic.hpp"
+#include "cycle_invariants.hpp"
 #include "engine/fat_tree_model.hpp"
 #include "nets/builders.hpp"
 #include "nets/routing.hpp"
@@ -193,7 +194,10 @@ TEST(FaultPlan, MaxAttemptsGivesMessagesUp) {
   Rng rng(24);
   OnlineRouterOptions opts;
   opts.retry.max_attempts = 1;
+  CycleInvariants inv(1.0, 0);  // self messages bypass the engine
+  opts.observer = &inv;
   const auto r = route_online(t, caps, m, rng, opts);
+  inv.expect_complete(r.delivery_cycles, r.gave_up);
 
   EXPECT_GT(r.messages_given_up, 0u);
   std::uint64_t routed = 0;
@@ -222,7 +226,10 @@ TEST(FaultPlan, ExponentialBackoffParksMessages) {
   OnlineRouterOptions opts;
   opts.retry.exponential_backoff = true;
   opts.retry.max_backoff = 8;  // full 64-cycle naps outlast max_cycles here
+  CycleInvariants inv(1.0, 0);
+  opts.observer = &inv;
   const auto backoff = route_online(t, caps, m, r2, opts);
+  inv.expect_complete(backoff.delivery_cycles, backoff.gave_up);
 
   EXPECT_FALSE(backoff.gave_up);
   EXPECT_EQ(total_delivered(backoff.delivered_per_cycle), m.size());
@@ -242,7 +249,10 @@ TEST(FaultPlan, DeadlineBoundsTheRun) {
   Rng rng(32);
   OnlineRouterOptions opts;
   opts.retry.deadline_cycles = 5;
+  CycleInvariants inv(1.0, 0);
+  opts.observer = &inv;
   const auto r = route_online(t, caps, m, rng, opts);
+  inv.expect_complete(r.delivery_cycles, r.gave_up);
 
   // No retry is ever scheduled past the deadline, so the run ends there.
   EXPECT_LE(r.delivery_cycles, 5u);
@@ -272,8 +282,13 @@ TEST(FaultPlan, DeadlineInsideBackoffWindowGivesUpExactlyOnce) {
   // Small enough that second-loss windows (delay >= 1 at cycle >= 5)
   // already straddle it: plenty of park-time expiries.
   opts.retry.deadline_cycles = 6;
-  opts.observer = &trace;
+  CycleInvariants inv(1.0, 0);
+  ObserverFanout fan;
+  fan.add(&trace);
+  fan.add(&inv);
+  opts.observer = &fan;
   const auto r = route_online(t, caps, m, rng, opts);
+  inv.expect_complete(r.delivery_cycles, r.gave_up);
 
   EXPECT_GT(r.messages_given_up, 0u);
   EXPECT_GT(r.total_backoffs, 0u);

@@ -103,8 +103,8 @@ TEST(Scaleout, StreamedRunMatchesMaterialized) {
   }
 }
 
-/// Yields a fixed sequence of PathSets, one per chunk — the streaming
-/// mirror of run_batched's batch vector.
+/// Yields a fixed sequence of PathSets, one per chunk, so
+/// run_batched_stream injects batch i at cycle i + 1.
 class BatchVectorSource final : public MessageSource {
  public:
   explicit BatchVectorSource(const std::vector<PathSet>& batches)
@@ -121,36 +121,6 @@ class BatchVectorSource final : public MessageSource {
   const std::vector<PathSet>& batches_;
   std::size_t next_ = 0;
 };
-
-TEST(Scaleout, StreamedBatchesMatchRunBatched) {
-  const std::uint32_t n = 64;
-  FatTreeTopology topo(n);
-  const auto caps = CapacityProfile::universal(topo, 16);
-
-  std::vector<PathSet> batches;
-  for (std::uint32_t k = 0; k < 5; ++k) {
-    Rng gen(50 + k);
-    batches.push_back(fat_tree_path_set(topo, random_permutation_traffic(n, gen)));
-  }
-
-  for (const ContentionPolicy policy :
-       {ContentionPolicy::RandomSubset, ContentionPolicy::Tally}) {
-    EngineOptions opts;
-    opts.contention = policy;
-    opts.seed = 7;
-
-    CycleEngine base_engine(fat_tree_channel_graph(topo, caps), opts);
-    TraceSink base_trace;
-    const EngineResult base = base_engine.run_batched(batches, &base_trace);
-
-    CycleEngine engine(fat_tree_channel_graph(topo, caps), opts);
-    BatchVectorSource source(batches);
-    TraceSink trace;
-    const EngineResult streamed = engine.run_batched_stream(source, &trace);
-    expect_same_result(base, streamed, "run_batched_stream");
-    EXPECT_EQ(event_fingerprint(base_trace), event_fingerprint(trace));
-  }
-}
 
 // route_online and route_online_stream agree for the same messages,
 // including self messages (delivered locally, outside the engine).
@@ -938,7 +908,8 @@ std::uint64_t expect_tally_matches_naive(const FatTreeTopology& topo,
     CycleEngine engine(fat_tree_channel_graph(topo, caps, e.shard_level),
                        opts);
     NaiveTallyCheck check(naive);
-    const EngineResult r = engine.run_batched(batches, &check);
+    BatchVectorSource source(batches);
+    const EngineResult r = engine.run_batched_stream(source, &check);
     EXPECT_EQ(r.cycles, s.num_cycles());
     EXPECT_EQ(check.cycles_seen(), s.num_cycles());
     EXPECT_EQ(check.bad_cycles(), 0u);
@@ -1093,15 +1064,23 @@ TEST(Scaleout, TallyViolationsMatchChannelScan) {
     for (const MessageSet& cycle : c.s.cycles) {
       batches.push_back(fat_tree_path_set(c.topo, cycle));
     }
-    EngineOptions eopts;
-    eopts.contention = ContentionPolicy::Tally;
-    eopts.fault_plan = fp;
-    eopts.seed = fp->seed();
-    eopts.parallel = true;
-    eopts.threads = 4;
-    CycleEngine sharded(fat_tree_channel_graph(c.topo, c.caps, 2), eopts);
-    EXPECT_EQ(sharded.run_batched(batches).capacity_violations,
-              scan.violations());
+    // Tally ignores the routing policy, AdaptiveOccupancy included: a
+    // faulted tally sweep still marks over-limit channels for its
+    // feedback, whose buffers must exist in tally mode too.
+    for (const RoutingPolicy policy :
+         {RoutingPolicy::ObliviousRandom, RoutingPolicy::AdaptiveOccupancy}) {
+      EngineOptions eopts;
+      eopts.contention = ContentionPolicy::Tally;
+      eopts.policy = policy;
+      eopts.fault_plan = fp;
+      eopts.seed = fp->seed();
+      eopts.parallel = true;
+      eopts.threads = 4;
+      CycleEngine sharded(fat_tree_channel_graph(c.topo, c.caps, 2), eopts);
+      BatchVectorSource source(batches);
+      EXPECT_EQ(sharded.run_batched_stream(source).capacity_violations,
+                scan.violations());
+    }
   }
 }
 
@@ -1176,7 +1155,9 @@ TEST(Scaleout, TallyReplayTraceIsPinned) {
   serial_opts.contention = ContentionPolicy::Tally;
   CycleEngine serial_engine(fat_tree_channel_graph(topo, caps), serial_opts);
   TraceSink serial_trace;
-  const EngineResult serial = serial_engine.run_batched(batches, &serial_trace);
+  BatchVectorSource serial_source(batches);
+  const EngineResult serial =
+      serial_engine.run_batched_stream(serial_source, &serial_trace);
   EXPECT_EQ(serial.cycles, 18u);
   EXPECT_EQ(serial.delivered, m.size());
   EXPECT_EQ(serial.total_hops, 1904u);
@@ -1187,7 +1168,8 @@ TEST(Scaleout, TallyReplayTraceIsPinned) {
   opts.threads = 4;
   CycleEngine engine(fat_tree_channel_graph(topo, caps, 2), opts);
   TraceSink trace;
-  const EngineResult sharded = engine.run_batched(batches, &trace);
+  BatchVectorSource source(batches);
+  const EngineResult sharded = engine.run_batched_stream(source, &trace);
   expect_same_result(serial, sharded, "sharded tally replay");
   EXPECT_EQ(event_fingerprint(serial_trace), event_fingerprint(trace));
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/traffic.hpp"
+#include "engine/engine.hpp"
 #include "nets/builders.hpp"
 #include "util/prng.hpp"
 
@@ -101,6 +102,24 @@ TEST(StoreForward, MeanLatencyBelowMakespan) {
   const auto r = simulate_store_forward(net, routes);
   EXPECT_LE(r.mean_latency, static_cast<double>(r.rounds));
   EXPECT_GT(r.mean_latency, 0.0);
+}
+
+// The FIFO executor validates injected paths like the lossy one: a hop
+// past the channel table or onto a zero-capacity slot aborts at
+// injection instead of indexing a queue that does not exist. Stages are
+// not checked (flat graphs put every channel at stage 0).
+TEST(StoreForwardDeathTest, FifoEngineRejectsUnknownChannels) {
+  EngineOptions opts;
+  opts.contention = ContentionPolicy::Fifo;
+  CycleEngine engine(ChannelGraph::flat({1, 0, 1, 1}), opts);
+  EXPECT_EQ(engine.run(PathSet::from_paths(std::vector<EnginePath>{{3, 0}}))
+                .delivered,
+            1u);
+  EXPECT_DEATH(
+      engine.run(PathSet::from_paths(std::vector<EnginePath>{{2, 1000000}})),
+      "path uses an unknown channel");
+  EXPECT_DEATH(engine.run(PathSet::from_paths(std::vector<EnginePath>{{0, 1}})),
+               "path uses an unknown channel");
 }
 
 }  // namespace
